@@ -170,6 +170,16 @@ pub fn select_victim(
     let eligible = |r: &&hetis_engine::RunningRequest| {
         r.instance == instance && r.phase == Phase::Decoding && !r.in_flight
     };
+    // Eligible requests holding KV on `device`, read from its request
+    // index. Comparators order by (admitted_at, id), a total order, so the
+    // index's iteration order cannot change the pick.
+    let resident_eligible = || {
+        ctx.kv
+            .device(device)
+            .holders()
+            .filter_map(|id| ctx.requests.get(&id))
+            .filter(eligible)
+    };
     match mode {
         VictimMode::PlainLifo => {
             // Newest admission anywhere on the instance — may not even
@@ -181,12 +191,7 @@ pub fn select_victim(
             }
         }
         VictimMode::LruOnDevice => {
-            let v = ctx
-                .requests
-                .values()
-                .filter(eligible)
-                .filter(|r| ctx.kv.device(device).request_bytes(r.req.id) > 0)
-                .min_by(cmp_admitted);
+            let v = resident_eligible().min_by(cmp_admitted);
             match v {
                 Some(r) => VictimAction::Evict(r.req.id),
                 None => VictimAction::Stall,
@@ -194,12 +199,7 @@ pub fn select_victim(
         }
         VictimMode::Hetis => {
             // Modified LIFO: newest admission *resident on the device*.
-            let v = ctx
-                .requests
-                .values()
-                .filter(eligible)
-                .filter(|r| ctx.kv.device(device).request_bytes(r.req.id) > 0)
-                .max_by(cmp_admitted);
+            let v = resident_eligible().max_by(cmp_admitted);
             let Some(victim) = v.map(|r| r.req.id) else {
                 return VictimAction::Stall;
             };

@@ -790,7 +790,13 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// peak. Frees can only lower usage, so these two families of call
     /// sites bound the peak exactly without an O(#devices) sweep on
     /// every event of the hot loop.
+    ///
+    /// Debug builds also cross-check every device's running KV totals
+    /// against a rescan here — a cadence that stays O(residents) per
+    /// batch instead of per append.
     fn note_kv_peak(&mut self) {
+        #[cfg(debug_assertions)]
+        self.kv.assert_totals();
         let used: u64 = (0..self.kv.len())
             .map(|d| self.kv.device(DeviceId(d as u32)).used_bytes())
             .sum();
@@ -1183,21 +1189,31 @@ impl<'a, P: Policy> Engine<'a, P> {
     fn kill_device(&mut self, dev: DeviceId, record: &mut ReplanRecord) {
         self.enforce_device_death(dev);
 
+        // KV holders come from the device's request index; placements and
+        // migration sources still need the request map.
+        let live = |r: &RunningRequest| r.phase != Phase::Done && r.phase != Phase::Waiting;
         let mut affected: Vec<RequestId> = self
-            .requests
-            .iter()
-            .filter(|(_, r)| r.phase != Phase::Done && r.phase != Phase::Waiting)
-            .filter(|(rid, r)| {
-                self.kv.device(dev).request_bytes(**rid) > 0
-                    || r.placement
-                        .as_ref()
-                        .map(|p| p.devices().contains(&dev))
-                        .unwrap_or(false)
-                    || (r.phase == Phase::Migrating && r.migration_sources.contains(&dev))
-            })
-            .map(|(rid, _)| *rid)
+            .kv
+            .device(dev)
+            .holders()
+            .filter(|rid| self.requests.get(rid).is_some_and(live))
+            .chain(
+                self.requests
+                    .iter()
+                    .filter(|(_, r)| {
+                        live(r)
+                            && (r
+                                .placement
+                                .as_ref()
+                                .is_some_and(|p| p.iter_devices().any(|d| d == dev))
+                                || (r.phase == Phase::Migrating
+                                    && r.migration_sources.contains(&dev)))
+                    })
+                    .map(|(rid, _)| *rid),
+            )
             .collect();
         affected.sort();
+        affected.dedup();
         for rid in affected {
             let r = &self.requests[&rid];
             if r.in_flight {
@@ -2479,22 +2495,14 @@ impl<'a, P: Policy> Engine<'a, P> {
     fn try_grow_tokens(&mut self, inst: usize, rid: RequestId, new_total: u32) -> bool {
         // Bounded victim loop: each pass either frees memory or gives up.
         for _ in 0..64 {
-            let devices = self.requests[&rid]
+            let placement = self.requests[&rid]
                 .placement
                 .as_ref()
-                .expect("growing request placed")
-                .devices();
-            let blocked = devices.iter().copied().find(|&d| {
-                let kv = self.kv.device(d);
-                kv.grow_cost(rid, new_total) > kv.free_bytes()
-            });
-            let Some(dev) = blocked else {
-                for &d in &devices {
-                    self.kv
-                        .device_mut(d)
-                        .grow_tokens(rid, new_total)
-                        .expect("checked headroom");
-                }
+                .expect("growing request placed");
+            let Err(dev) = self
+                .kv
+                .grow_tokens_on(rid, placement.iter_devices(), new_total)
+            else {
                 self.requests.get_mut(&rid).expect("live").kv_reserved = new_total;
                 self.kv_growths += 1;
                 self.note_kv_peak();
@@ -2541,22 +2549,11 @@ impl<'a, P: Policy> Engine<'a, P> {
         }
         // Bounded victim loop: each pass either frees memory or stalls.
         for _ in 0..64 {
-            let devices = self.requests[&rid]
+            let placement = self.requests[&rid]
                 .placement
                 .as_ref()
-                .expect("decoding request placed")
-                .devices();
-            let blocked = devices.iter().copied().find(|&d| {
-                let kv = self.kv.device(d);
-                kv.append_cost(rid) > kv.free_bytes()
-            });
-            let Some(dev) = blocked else {
-                for &d in &devices {
-                    self.kv
-                        .device_mut(d)
-                        .append_token(rid)
-                        .expect("checked headroom");
-                }
+                .expect("decoding request placed");
+            let Err(dev) = self.kv.append_token_on(rid, placement.iter_devices()) else {
                 // Peak sampling happens once per decode batch in
                 // `collect_decode_batch`, not per append — this is the
                 // hottest allocation path.

@@ -6,6 +6,32 @@
 //! unit), so capacity behaves exactly like the block allocators in
 //! `hetis-kvcache`; the engine keeps the byte ledger and defers the
 //! block-table mechanics to that crate's benches/tests.
+//!
+//! # Request index and running totals
+//!
+//! Each [`DeviceKv`] indexes its KV by request: a resident request maps to
+//! its `(stage, KvEntry)` slots on that device — one slot per stage it holds
+//! there (several only on attention workers shared by stages), never a slot
+//! with zero groups, never an empty slot list. Beside the index, every
+//! mutator keeps running totals up to date:
+//!
+//! - per stage, the resident head groups and the block-rounded bytes one
+//!   layer holds (`blocks × groups × block_unit`, summed over the stage's
+//!   slots) — the Dispatcher's `h_i(t)` and `g_i(t)`;
+//! - over all stages, the resident head groups.
+//!
+//! The totals are integer sums of integer terms, so they equal a rescan of
+//! the index exactly (debug builds check this at every engine KV peak
+//! sample), and the `f64` the dispatcher reads is bit-identical to the sum
+//! a scan would produce.
+//!
+//! Costs: the per-stage and per-device aggregates (`stage_query_heads`,
+//! `stage_kv_bytes_per_layer`, `resident_query_heads`) and the pool reads
+//! are O(1). Per-request operations (`allocate`, `append_*`, `grow_*`,
+//! `shrink_groups`, `grow_groups`, `free_request`, `entry`,
+//! `request_bytes`) are one hash lookup plus O(slots of that request).
+//! Only the listings (`resident_requests`, `stage_residents`, `holders`)
+//! walk every resident request of the device.
 
 use hetis_cluster::{Cluster, DeviceId, MemoryLedger};
 use hetis_model::ModelSpec;
@@ -48,28 +74,81 @@ pub struct KvEntry {
     pub layers: u32,
 }
 
+/// Running totals of one pipeline stage on one device.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct StageTotals {
+    /// Σ `groups` over the stage's slots.
+    groups: u64,
+    /// Σ `blocks × groups × block_unit` over the stage's slots: the
+    /// block-rounded KV bytes one layer of the stage holds.
+    bytes_per_layer: u64,
+}
+
+/// Whole blocks covering `tokens`.
+fn blocks(tokens: u32, block_size: u32) -> u64 {
+    tokens.div_ceil(block_size) as u64
+}
+
 /// KV accounting for one device.
 #[derive(Debug, Clone)]
 pub struct DeviceKv {
     ledger: MemoryLedger,
-    entries: HashMap<(RequestId, u16), KvEntry>,
+    /// Request index: each resident request → its `(stage, entry)` slots
+    /// here. At most one slot per stage, no zero-group slot, no empty list.
+    entries: HashMap<RequestId, Vec<(u16, KvEntry)>>,
+    /// Running totals indexed by stage (grown on first use). Every mutator
+    /// updates them, so they always equal a rescan of `entries`.
+    stages: Vec<StageTotals>,
+    /// Σ `groups` over every slot of every stage.
+    groups: u64,
     /// Bytes of one block unit: block_size tokens × one group × one layer.
     block_unit: u64,
     block_size: u32,
 }
 
 impl DeviceKv {
-    fn blocks_for(&self, tokens: u32) -> u64 {
-        tokens.div_ceil(self.block_size) as u64
+    fn new(ledger: MemoryLedger, block_unit: u64, block_size: u32) -> DeviceKv {
+        DeviceKv {
+            ledger,
+            entries: HashMap::new(),
+            stages: Vec::new(),
+            groups: 0,
+            block_unit,
+            block_size,
+        }
     }
 
     fn entry_bytes(&self, e: &KvEntry) -> u64 {
-        self.blocks_for(e.tokens) * e.groups as u64 * e.layers as u64 * self.block_unit
+        self.bytes_needed(e.groups, e.tokens, e.layers)
+    }
+
+    /// Block-rounded bytes one layer of `groups` groups × `tokens` holds.
+    fn layer_bytes(&self, groups: u32, tokens: u32) -> u64 {
+        blocks(tokens, self.block_size) * groups as u64 * self.block_unit
+    }
+
+    /// Adds a slot's (or a slot delta's) share to the running totals.
+    fn credit(&mut self, stage: u16, groups: u32, bytes_per_layer: u64) {
+        let s = stage as usize;
+        if s >= self.stages.len() {
+            self.stages.resize(s + 1, StageTotals::default());
+        }
+        self.stages[s].groups += groups as u64;
+        self.stages[s].bytes_per_layer += bytes_per_layer;
+        self.groups += groups as u64;
+    }
+
+    /// Removes a slot's (or a slot delta's) share from the running totals.
+    fn debit(&mut self, stage: u16, groups: u32, bytes_per_layer: u64) {
+        let t = &mut self.stages[stage as usize];
+        t.groups -= groups as u64;
+        t.bytes_per_layer -= bytes_per_layer;
+        self.groups -= groups as u64;
     }
 
     /// Bytes needed to hold `groups` groups × `tokens` tokens × `layers`.
     pub fn bytes_needed(&self, groups: u32, tokens: u32, layers: u32) -> u64 {
-        self.blocks_for(tokens) * groups as u64 * layers as u64 * self.block_unit
+        blocks(tokens, self.block_size) * groups as u64 * layers as u64 * self.block_unit
     }
 
     /// KV bytes free.
@@ -94,15 +173,28 @@ impl DeviceKv {
 
     /// The resident entry for (request, stage).
     pub fn entry(&self, req: RequestId, stage: u16) -> Option<KvEntry> {
-        self.entries.get(&(req, stage)).copied()
+        self.entries
+            .get(&req)?
+            .iter()
+            .find(|&&(s, _)| s == stage)
+            .map(|&(_, e)| e)
     }
 
-    /// Requests with any residency here.
+    /// Requests with any residency here, sorted.
     pub fn resident_requests(&self) -> Vec<RequestId> {
-        let mut v: Vec<RequestId> = self.entries.keys().map(|&(r, _)| r).collect();
+        let mut v: Vec<RequestId> = self.entries.keys().copied().collect();
         v.sort();
-        v.dedup();
         v
+    }
+
+    /// Requests holding a nonzero number of KV bytes here (exactly those
+    /// with `request_bytes(r) > 0`), in no particular order — the
+    /// candidate set of the victim scans.
+    pub fn holders(&self) -> impl Iterator<Item = RequestId> + '_ {
+        self.entries
+            .iter()
+            .filter(|(_, slots)| slots.iter().any(|(_, e)| self.entry_bytes(e) > 0))
+            .map(|(&r, _)| r)
     }
 
     /// Registers an entry, allocating its bytes. Fails without side
@@ -117,7 +209,7 @@ impl DeviceKv {
     ) -> Result<(), KvAllocError> {
         assert!(groups > 0 && layers > 0);
         assert!(
-            !self.entries.contains_key(&(req, stage)),
+            self.entry(req, stage).is_none(),
             "{req} stage {stage} already resident"
         );
         let e = KvEntry {
@@ -130,52 +222,71 @@ impl DeviceKv {
             requested: bytes,
             available: err.available,
         })?;
-        self.entries.insert((req, stage), e);
+        self.credit(stage, groups, self.layer_bytes(groups, tokens));
+        self.entries.entry(req).or_default().push((stage, e));
         Ok(())
     }
 
-    /// Bytes that appending one token to every entry of `req` would newly
-    /// consume (0 when no block boundary is crossed).
-    pub fn append_cost(&self, req: RequestId) -> u64 {
-        self.entries
+    /// Bytes that moving every entry of `req` from `t` to `next(t)` tokens
+    /// would newly consume.
+    fn retoken_cost(&self, req: RequestId, next: impl Fn(u32) -> u32) -> u64 {
+        let Some(slots) = self.entries.get(&req) else {
+            return 0;
+        };
+        slots
             .iter()
-            .filter(|&(&(r, _), _)| r == req)
             .map(|(_, e)| {
-                let before = self.blocks_for(e.tokens);
-                let after = self.blocks_for(e.tokens + 1);
+                let before = blocks(e.tokens, self.block_size);
+                let after = blocks(next(e.tokens), self.block_size);
                 (after - before) * e.groups as u64 * e.layers as u64 * self.block_unit
             })
             .sum()
     }
 
-    /// Appends one token to every entry of `req`. Fails without side
-    /// effects when the pool is short.
-    pub fn append_token(&mut self, req: RequestId) -> Result<(), KvAllocError> {
-        let cost = self.append_cost(req);
+    /// Moves every entry of `req` from `t` to `next(t)` tokens, charging
+    /// `cost` — its [`DeviceKv::retoken_cost`] — to the pool. Fails
+    /// without side effects when the pool is short.
+    fn retoken(
+        &mut self,
+        req: RequestId,
+        cost: u64,
+        next: impl Fn(u32) -> u32,
+    ) -> Result<(), KvAllocError> {
         if cost > 0 {
             self.ledger.alloc_kv(cost).map_err(|e| KvAllocError {
                 requested: cost,
                 available: e.available,
             })?;
         }
-        for (_, e) in self.entries.iter_mut().filter(|&(&(r, _), _)| r == req) {
-            e.tokens += 1;
+        let Some(slots) = self.entries.get_mut(&req) else {
+            return Ok(());
+        };
+        for (stage, e) in slots.iter_mut() {
+            let tokens = next(e.tokens);
+            let new_blocks = blocks(tokens, self.block_size) - blocks(e.tokens, self.block_size);
+            e.tokens = tokens;
+            let grown = new_blocks * e.groups as u64 * self.block_unit;
+            self.stages[*stage as usize].bytes_per_layer += grown;
         }
         Ok(())
+    }
+
+    /// Bytes that appending one token to every entry of `req` would newly
+    /// consume (0 when no block boundary is crossed).
+    pub fn append_cost(&self, req: RequestId) -> u64 {
+        self.retoken_cost(req, |t| t + 1)
+    }
+
+    /// Appends one token to every entry of `req`. Fails without side
+    /// effects when the pool is short.
+    pub fn append_token(&mut self, req: RequestId) -> Result<(), KvAllocError> {
+        self.retoken(req, self.append_cost(req), |t| t + 1)
     }
 
     /// Bytes that growing every entry of `req` to `new_tokens` tokens
     /// would newly consume (0 when no entry gains a block).
     pub fn grow_cost(&self, req: RequestId, new_tokens: u32) -> u64 {
-        self.entries
-            .iter()
-            .filter(|&(&(r, _), _)| r == req)
-            .map(|(_, e)| {
-                let before = self.blocks_for(e.tokens);
-                let after = self.blocks_for(e.tokens.max(new_tokens));
-                (after - before) * e.groups as u64 * e.layers as u64 * self.block_unit
-            })
-            .sum()
+        self.retoken_cost(req, |t| t.max(new_tokens))
     }
 
     /// Grows every entry of `req` on this device to `new_tokens` tokens —
@@ -184,31 +295,18 @@ impl DeviceKv {
     /// already at or past `new_tokens` are left alone. Fails without side
     /// effects when the pool is short.
     pub fn grow_tokens(&mut self, req: RequestId, new_tokens: u32) -> Result<(), KvAllocError> {
-        let cost = self.grow_cost(req, new_tokens);
-        if cost > 0 {
-            self.ledger.alloc_kv(cost).map_err(|e| KvAllocError {
-                requested: cost,
-                available: e.available,
-            })?;
-        }
-        for (_, e) in self.entries.iter_mut().filter(|&(&(r, _), _)| r == req) {
-            e.tokens = e.tokens.max(new_tokens);
-        }
-        Ok(())
+        self.retoken(req, self.grow_cost(req, new_tokens), |t| t.max(new_tokens))
     }
 
     /// Frees every entry of `req`; returns bytes released.
     pub fn free_request(&mut self, req: RequestId) -> u64 {
-        let keys: Vec<(RequestId, u16)> = self
-            .entries
-            .keys()
-            .filter(|&&(r, _)| r == req)
-            .copied()
-            .collect();
+        let Some(slots) = self.entries.remove(&req) else {
+            return 0;
+        };
         let mut released = 0;
-        for k in keys {
-            let e = self.entries.remove(&k).expect("key present");
+        for (stage, e) in slots {
             released += self.entry_bytes(&e);
+            self.debit(stage, e.groups, self.layer_bytes(e.groups, e.tokens));
         }
         self.ledger.free_kv(released);
         released
@@ -217,15 +315,23 @@ impl DeviceKv {
     /// Frees `groups` groups from (req, stage) — partial migration away.
     /// Returns bytes released. Panics if more groups than resident.
     pub fn shrink_groups(&mut self, req: RequestId, stage: u16, groups: u32) -> u64 {
-        let e = *self.entries.get(&(req, stage)).expect("entry must exist");
+        let slots = self.entries.get_mut(&req).expect("entry must exist");
+        let i = slots
+            .iter()
+            .position(|&(s, _)| s == stage)
+            .expect("entry must exist");
+        let e = slots[i].1;
         assert!(groups <= e.groups, "shrinking {groups} of {}", e.groups);
-        let per_group = self.blocks_for(e.tokens) * e.layers as u64 * self.block_unit;
-        let released = per_group * groups as u64;
         if e.groups == groups {
-            self.entries.remove(&(req, stage));
+            slots.swap_remove(i);
+            if slots.is_empty() {
+                self.entries.remove(&req);
+            }
         } else {
-            self.entries.get_mut(&(req, stage)).expect("present").groups -= groups;
+            slots[i].1.groups -= groups;
         }
+        let released = self.bytes_needed(groups, e.tokens, e.layers);
+        self.debit(stage, groups, self.layer_bytes(groups, e.tokens));
         self.ledger.free_kv(released);
         released
     }
@@ -240,57 +346,56 @@ impl DeviceKv {
         tokens: u32,
         layers: u32,
     ) -> Result<(), KvAllocError> {
-        if let Some(e) = self.entries.get(&(req, stage)).copied() {
-            assert_eq!(e.tokens, tokens, "token mismatch on grow");
-            let per_group = self.blocks_for(tokens) * layers as u64 * self.block_unit;
-            let bytes = per_group * groups as u64;
-            self.ledger.alloc_kv(bytes).map_err(|err| KvAllocError {
-                requested: bytes,
-                available: err.available,
-            })?;
-            self.entries.get_mut(&(req, stage)).expect("present").groups += groups;
-            Ok(())
-        } else {
-            self.allocate(req, stage, groups, tokens, layers)
-        }
+        let Some(e) = self.entry(req, stage) else {
+            return self.allocate(req, stage, groups, tokens, layers);
+        };
+        assert_eq!(e.tokens, tokens, "token mismatch on grow");
+        let bytes = self.bytes_needed(groups, tokens, layers);
+        self.ledger.alloc_kv(bytes).map_err(|err| KvAllocError {
+            requested: bytes,
+            available: err.available,
+        })?;
+        let slots = self.entries.get_mut(&req).expect("present");
+        let slot = slots
+            .iter_mut()
+            .find(|(s, _)| *s == stage)
+            .expect("present");
+        slot.1.groups += groups;
+        self.credit(stage, groups, self.layer_bytes(groups, tokens));
+        Ok(())
     }
 
     /// Total KV bytes attributable to `req` on this device.
     pub fn request_bytes(&self, req: RequestId) -> u64 {
-        self.entries
-            .iter()
-            .filter(|&(&(r, _), _)| r == req)
-            .map(|(_, e)| self.entry_bytes(&e.clone()))
-            .sum()
+        self.entries.get(&req).map_or(0, |slots| {
+            slots.iter().map(|(_, e)| self.entry_bytes(e)).sum()
+        })
     }
 
     /// Sum over entries of `groups × r` — the device's resident query-head
     /// count `h_i` (per layer), given the model's group ratio.
     pub fn resident_query_heads(&self, r: u32) -> u64 {
-        self.entries
-            .values()
-            .map(|e| e.groups as u64 * r as u64)
-            .sum()
+        self.groups * r as u64
     }
 
     /// Resident query heads for one pipeline stage only — the Dispatcher's
     /// `h_i(t)` (the LP of Eq. 7 runs per stage).
     pub fn stage_query_heads(&self, stage: u16, r: u32) -> u64 {
-        self.entries
-            .iter()
-            .filter(|&(&(_, s), _)| s == stage)
-            .map(|(_, e)| e.groups as u64 * r as u64)
-            .sum()
+        self.stages
+            .get(stage as usize)
+            .map_or(0, |t| t.groups * r as u64)
     }
 
     /// Per-layer KV bytes resident for one stage — the Dispatcher's
     /// `g_i(t)` (what one attention kernel invocation reads).
     pub fn stage_kv_bytes_per_layer(&self, stage: u16) -> f64 {
-        self.entries
-            .iter()
-            .filter(|&(&(_, s), _)| s == stage)
-            .map(|(_, e)| (self.entry_bytes(e) / e.layers as u64) as f64)
-            .sum()
+        match self.stages.get(stage as usize) {
+            // Every slot has groups > 0, so this is "the stage has slots".
+            Some(t) if t.groups > 0 => t.bytes_per_layer as f64,
+            // No slot: the empty f64 sum (-0.0), the value a per-slot
+            // scan returns, kept so dispatch arithmetic stays bit-identical.
+            _ => std::iter::empty::<f64>().sum(),
+        }
     }
 
     /// The most recently useful victim query: requests resident on this
@@ -299,11 +404,33 @@ impl DeviceKv {
         let mut v: Vec<(RequestId, KvEntry)> = self
             .entries
             .iter()
-            .filter(|&(&(_, s), _)| s == stage)
-            .map(|(&(r, _), &e)| (r, e))
+            .flat_map(|(&r, slots)| {
+                slots
+                    .iter()
+                    .filter(move |&&(s, _)| s == stage)
+                    .map(move |&(_, e)| (r, e))
+            })
             .collect();
         v.sort_by_key(|&(r, _)| r);
         v
+    }
+
+    /// Debug cross-check: the running totals equal a rescan of the index.
+    #[cfg(debug_assertions)]
+    fn assert_totals(&self) {
+        let mut stages = vec![StageTotals::default(); self.stages.len()];
+        let mut groups = 0;
+        for slots in self.entries.values() {
+            assert!(!slots.is_empty(), "empty slot list in the index");
+            for &(s, e) in slots {
+                assert!(e.groups > 0, "zero-group slot in the index");
+                stages[s as usize].groups += e.groups as u64;
+                stages[s as usize].bytes_per_layer += self.layer_bytes(e.groups, e.tokens);
+                groups += e.groups as u64;
+            }
+        }
+        assert_eq!(self.stages, stages, "per-stage KV totals drifted");
+        assert_eq!(self.groups, groups, "resident group total drifted");
     }
 }
 
@@ -311,6 +438,8 @@ impl DeviceKv {
 #[derive(Debug, Clone)]
 pub struct KvState {
     devices: Vec<DeviceKv>,
+    /// Scratch for the all-or-nothing multi-device ops: (device, cost).
+    costs: Vec<(DeviceId, u64)>,
 }
 
 impl KvState {
@@ -331,14 +460,12 @@ impl KvState {
                     .reserve_weights(w)
                     .map_err(|e| format!("{}: {e}", d.id))?;
             }
-            devices.push(DeviceKv {
-                ledger,
-                entries: HashMap::new(),
-                block_unit,
-                block_size,
-            });
+            devices.push(DeviceKv::new(ledger, block_unit, block_size));
         }
-        Ok(KvState { devices })
+        Ok(KvState {
+            devices,
+            costs: Vec::new(),
+        })
     }
 
     /// Accessor for one device.
@@ -369,6 +496,69 @@ impl KvState {
     /// Total used KV across a device subset.
     pub fn total_used(&self, subset: &[DeviceId]) -> u64 {
         subset.iter().map(|&d| self.device(d).used_bytes()).sum()
+    }
+
+    /// [`DeviceKv::append_token`] on every device of `devices` (repeats
+    /// allowed), all or nothing. Each device's cost is computed once and
+    /// reused for the commit. When some device is short, nothing changes
+    /// and the lowest-id short device is returned.
+    pub fn append_token_on(
+        &mut self,
+        req: RequestId,
+        devices: impl IntoIterator<Item = DeviceId>,
+    ) -> Result<(), DeviceId> {
+        self.retoken_on(req, devices, |t| t + 1)
+    }
+
+    /// [`DeviceKv::grow_tokens`] on every device of `devices`, all or
+    /// nothing, with the same contract as [`KvState::append_token_on`].
+    pub fn grow_tokens_on(
+        &mut self,
+        req: RequestId,
+        devices: impl IntoIterator<Item = DeviceId>,
+        new_tokens: u32,
+    ) -> Result<(), DeviceId> {
+        self.retoken_on(req, devices, |t| t.max(new_tokens))
+    }
+
+    fn retoken_on(
+        &mut self,
+        req: RequestId,
+        devices: impl IntoIterator<Item = DeviceId>,
+        next: impl Fn(u32) -> u32 + Copy,
+    ) -> Result<(), DeviceId> {
+        self.costs.clear();
+        for d in devices {
+            if !self.costs.iter().any(|&(c, _)| c == d) {
+                let cost = self.devices[d.index()].retoken_cost(req, next);
+                self.costs.push((d, cost));
+            }
+        }
+        let short = self
+            .costs
+            .iter()
+            .filter(|&&(d, cost)| cost > self.devices[d.index()].free_bytes())
+            .map(|&(d, _)| d)
+            .min();
+        if let Some(d) = short {
+            return Err(d);
+        }
+        for &(d, cost) in &self.costs {
+            self.devices[d.index()]
+                .retoken(req, cost, next)
+                .expect("checked headroom");
+        }
+        Ok(())
+    }
+
+    /// Debug cross-check of every device's running totals against a
+    /// rescan. O(resident slots), so the engine calls it only at its KV
+    /// peak samples, never per append.
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_totals(&self) {
+        for d in &self.devices {
+            d.assert_totals();
+        }
     }
 }
 
@@ -456,6 +646,7 @@ mod tests {
     use super::*;
     use hetis_cluster::cluster::paper_cluster;
     use hetis_model::llama_70b;
+    use proptest::prelude::*;
 
     fn state() -> KvState {
         let c = paper_cluster();
@@ -632,6 +823,346 @@ mod tests {
         assert!(s.device(d).request_bytes(RequestId(1)) > 0);
         let _ = s.device_mut(d).free_request(RequestId(1));
         assert_eq!(s.device(d).resident_requests(), vec![RequestId(2)]);
+    }
+
+    /// The flat `(request, stage) → entry` ledger with scan-based queries
+    /// that the request index and its running totals replaced, kept as
+    /// the oracle they are checked against. It mirrors only successful
+    /// operations; the device under test decides success.
+    #[derive(Debug, Clone)]
+    struct ScanKv {
+        entries: HashMap<(RequestId, u16), KvEntry>,
+        block_unit: u64,
+        block_size: u32,
+    }
+
+    impl ScanKv {
+        fn new(d: &DeviceKv) -> ScanKv {
+            ScanKv {
+                entries: HashMap::new(),
+                block_unit: d.block_unit,
+                block_size: d.block_size,
+            }
+        }
+
+        fn blocks_for(&self, tokens: u32) -> u64 {
+            tokens.div_ceil(self.block_size) as u64
+        }
+
+        fn entry_bytes(&self, e: &KvEntry) -> u64 {
+            self.blocks_for(e.tokens) * e.groups as u64 * e.layers as u64 * self.block_unit
+        }
+
+        fn used(&self) -> u64 {
+            self.entries.values().map(|e| self.entry_bytes(e)).sum()
+        }
+
+        fn append_cost(&self, req: RequestId) -> u64 {
+            self.entries
+                .iter()
+                .filter(|&(&(r, _), _)| r == req)
+                .map(|(_, e)| {
+                    let before = self.blocks_for(e.tokens);
+                    let after = self.blocks_for(e.tokens + 1);
+                    (after - before) * e.groups as u64 * e.layers as u64 * self.block_unit
+                })
+                .sum()
+        }
+
+        fn grow_cost(&self, req: RequestId, new_tokens: u32) -> u64 {
+            self.entries
+                .iter()
+                .filter(|&(&(r, _), _)| r == req)
+                .map(|(_, e)| {
+                    let before = self.blocks_for(e.tokens);
+                    let after = self.blocks_for(e.tokens.max(new_tokens));
+                    (after - before) * e.groups as u64 * e.layers as u64 * self.block_unit
+                })
+                .sum()
+        }
+
+        fn retoken(&mut self, req: RequestId, next: impl Fn(u32) -> u32) {
+            for (_, e) in self.entries.iter_mut().filter(|&(&(r, _), _)| r == req) {
+                e.tokens = next(e.tokens);
+            }
+        }
+
+        fn shrink_groups(&mut self, req: RequestId, stage: u16, groups: u32) {
+            let e = self
+                .entries
+                .get_mut(&(req, stage))
+                .expect("entry must exist");
+            e.groups -= groups;
+            if e.groups == 0 {
+                self.entries.remove(&(req, stage));
+            }
+        }
+
+        fn grow_groups(
+            &mut self,
+            req: RequestId,
+            stage: u16,
+            groups: u32,
+            tokens: u32,
+            layers: u32,
+        ) {
+            self.entries
+                .entry((req, stage))
+                .and_modify(|e| e.groups += groups)
+                .or_insert(KvEntry {
+                    groups,
+                    tokens,
+                    layers,
+                });
+        }
+
+        fn free_request(&mut self, req: RequestId) {
+            self.entries.retain(|&(r, _), _| r != req);
+        }
+
+        fn request_bytes(&self, req: RequestId) -> u64 {
+            self.entries
+                .iter()
+                .filter(|&(&(r, _), _)| r == req)
+                .map(|(_, e)| self.entry_bytes(e))
+                .sum()
+        }
+
+        fn resident_requests(&self) -> Vec<RequestId> {
+            let mut v: Vec<RequestId> = self.entries.keys().map(|&(r, _)| r).collect();
+            v.sort();
+            v.dedup();
+            v
+        }
+
+        fn resident_query_heads(&self, r: u32) -> u64 {
+            self.entries
+                .values()
+                .map(|e| e.groups as u64 * r as u64)
+                .sum()
+        }
+
+        fn stage_query_heads(&self, stage: u16, r: u32) -> u64 {
+            self.entries
+                .iter()
+                .filter(|&(&(_, s), _)| s == stage)
+                .map(|(_, e)| e.groups as u64 * r as u64)
+                .sum()
+        }
+
+        fn stage_kv_bytes_per_layer(&self, stage: u16) -> f64 {
+            self.entries
+                .iter()
+                .filter(|&(&(_, s), _)| s == stage)
+                .map(|(_, e)| (self.entry_bytes(e) / e.layers as u64) as f64)
+                .sum()
+        }
+
+        fn stage_residents(&self, stage: u16) -> Vec<(RequestId, KvEntry)> {
+            let mut v: Vec<(RequestId, KvEntry)> = self
+                .entries
+                .iter()
+                .filter(|&(&(_, s), _)| s == stage)
+                .map(|(&(r, _), &e)| (r, e))
+                .collect();
+            v.sort_by_key(|&(r, _)| r);
+            v
+        }
+    }
+
+    const REQS: u64 = 6;
+    const STAGES: u16 = 3;
+
+    /// Layers of a stage in the oracle runs (distinct per stage).
+    fn stage_layers(stage: u16) -> u32 {
+        10 + 7 * stage as u32
+    }
+
+    /// Every query of `d` equals the oracle's scan.
+    fn check(d: &DeviceKv, o: &ScanKv) -> Result<(), TestCaseError> {
+        prop_assert_eq!(d.used_bytes(), o.used());
+        prop_assert_eq!(d.resident_requests(), o.resident_requests());
+        let mut holders: Vec<RequestId> = d.holders().collect();
+        holders.sort();
+        let expected: Vec<RequestId> = o
+            .resident_requests()
+            .into_iter()
+            .filter(|&r| o.request_bytes(r) > 0)
+            .collect();
+        prop_assert_eq!(holders, expected);
+        prop_assert_eq!(d.resident_query_heads(8), o.resident_query_heads(8));
+        for r in 0..REQS {
+            let r = RequestId(r);
+            prop_assert_eq!(d.request_bytes(r), o.request_bytes(r));
+            prop_assert_eq!(d.append_cost(r), o.append_cost(r));
+            for s in 0..STAGES {
+                prop_assert_eq!(d.entry(r, s), o.entries.get(&(r, s)).copied());
+            }
+        }
+        // One stage past any slot: the empty aggregates.
+        for s in 0..=STAGES {
+            prop_assert_eq!(d.stage_residents(s), o.stage_residents(s));
+            prop_assert_eq!(d.stage_query_heads(s, 8), o.stage_query_heads(s, 8));
+            prop_assert_eq!(
+                d.stage_kv_bytes_per_layer(s).to_bits(),
+                o.stage_kv_bytes_per_layer(s).to_bits(),
+                "g_i of stage {}",
+                s
+            );
+        }
+        #[cfg(debug_assertions)]
+        d.assert_totals();
+        Ok(())
+    }
+
+    /// A two-device state whose pools hold only ~`pool` bytes each, so
+    /// random operations regularly run them dry.
+    fn tight_state(pool: u64) -> KvState {
+        let c = paper_cluster();
+        let m = llama_70b();
+        let full = KvState::new(&c, &m, 16, &HashMap::new()).unwrap();
+        let weights = (0..2)
+            .map(|i| (DeviceId(i), full.device(DeviceId(i)).pool_bytes() - pool))
+            .collect();
+        KvState::new(&c, &m, 16, &weights).unwrap()
+    }
+
+    /// Applies one random operation to `kv` and mirrors it in `oracle`
+    /// when it succeeds.
+    fn apply(
+        kv: &mut KvState,
+        oracle: &mut [ScanKv],
+        (kind, req, stage, dev, groups, tokens): (u8, u64, u16, u32, u32, u32),
+    ) -> Result<(), TestCaseError> {
+        let req = RequestId(req);
+        let d = DeviceId(dev);
+        let o = &mut oracle[dev as usize];
+        let layers = stage_layers(stage);
+        match kind {
+            0 => {
+                if o.entries.contains_key(&(req, stage)) {
+                    return Ok(());
+                }
+                let g = groups.max(1);
+                if kv
+                    .device_mut(d)
+                    .allocate(req, stage, g, tokens, layers)
+                    .is_ok()
+                {
+                    o.grow_groups(req, stage, g, tokens, layers);
+                }
+            }
+            1 => {
+                let fits = o.append_cost(req) <= kv.device(d).free_bytes();
+                prop_assert_eq!(kv.device_mut(d).append_token(req).is_ok(), fits);
+                if fits {
+                    o.retoken(req, |t| t + 1);
+                }
+            }
+            2 => {
+                let fits = o.grow_cost(req, tokens) <= kv.device(d).free_bytes();
+                prop_assert_eq!(kv.device_mut(d).grow_tokens(req, tokens).is_ok(), fits);
+                if fits {
+                    o.retoken(req, |t| t.max(tokens));
+                }
+            }
+            3 => {
+                // Shrinks anywhere in 0..=groups, down to zero included.
+                let Some(e) = o.entries.get(&(req, stage)).copied() else {
+                    return Ok(());
+                };
+                let g = groups % (e.groups + 1);
+                let released = kv.device_mut(d).shrink_groups(req, stage, g);
+                prop_assert_eq!(released, kv.device(d).bytes_needed(g, e.tokens, layers));
+                o.shrink_groups(req, stage, g);
+            }
+            4 => {
+                // Creates the slot when absent (migration in).
+                let t = o.entries.get(&(req, stage)).map_or(tokens, |e| e.tokens);
+                let g = groups.max(1);
+                if kv
+                    .device_mut(d)
+                    .grow_groups(req, stage, g, t, layers)
+                    .is_ok()
+                {
+                    o.grow_groups(req, stage, g, t, layers);
+                }
+            }
+            5 => {
+                // Freeing an absent request is a no-op.
+                let before = o.request_bytes(req);
+                prop_assert_eq!(kv.device_mut(d).free_request(req), before);
+                o.free_request(req);
+            }
+            _ => {
+                // The all-or-nothing multi-device ops, device 0 listed twice.
+                let devices = [DeviceId(0), DeviceId(1), DeviceId(0)];
+                let short = (0..2).map(DeviceId).find(|&x| {
+                    let o = &oracle[x.index()];
+                    let cost = if kind == 6 {
+                        o.append_cost(req)
+                    } else {
+                        o.grow_cost(req, tokens)
+                    };
+                    cost > kv.device(x).free_bytes()
+                });
+                let res = if kind == 6 {
+                    kv.append_token_on(req, devices)
+                } else {
+                    kv.grow_tokens_on(req, devices, tokens)
+                };
+                match short {
+                    Some(x) => prop_assert_eq!(res, Err(x)),
+                    None => {
+                        prop_assert_eq!(res, Ok(()));
+                        for o in oracle.iter_mut() {
+                            if kind == 6 {
+                                o.retoken(req, |t| t + 1);
+                            } else {
+                                o.retoken(req, |t| t.max(tokens));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random allocate / append / grow / shrink / grow-groups / free
+        /// sequences on tight pools: after every operation each device's
+        /// queries equal the scan oracle's. At `fork` the state is cloned,
+        /// and from then on the original and the clone take alternate
+        /// operations — each must keep matching its own oracle.
+        #[test]
+        fn request_index_matches_scan_oracle(
+            ops in collection::vec((0u8..8, 0u64..REQS, 0u16..STAGES, 0u32..2, 0u32..9, 0u32..200), 1..160),
+            fork in 0usize..160,
+        ) {
+            let mut kv = tight_state(60_000_000);
+            let mut oracle = vec![ScanKv::new(kv.device(DeviceId(0))); 2];
+            let mut forked: Option<(KvState, Vec<ScanKv>)> = None;
+            for (i, &op) in ops.iter().enumerate() {
+                if i == fork {
+                    forked = Some((kv.clone(), oracle.clone()));
+                }
+                match forked.as_mut() {
+                    Some((kv2, oracle2)) if i % 2 == 1 => apply(kv2, oracle2, op)?,
+                    _ => apply(&mut kv, &mut oracle, op)?,
+                }
+                for (dev, o) in oracle.iter().enumerate() {
+                    check(kv.device(DeviceId(dev as u32)), o)?;
+                }
+                if let Some((kv2, oracle2)) = &forked {
+                    for (dev, o) in oracle2.iter().enumerate() {
+                        check(kv2.device(DeviceId(dev as u32)), o)?;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -445,13 +445,14 @@ impl StaticPolicy {
         device: DeviceId,
         ctx: &PolicyCtx<'_>,
     ) -> Option<RequestId> {
-        ctx.requests
-            .values()
+        ctx.kv
+            .device(device)
+            .holders()
+            .filter_map(|id| ctx.requests.get(&id))
             .filter(|r| {
                 r.instance == instance
                     && !r.in_flight
                     && matches!(r.phase, crate::request::Phase::Decoding)
-                    && ctx.kv.device(device).request_bytes(r.req.id) > 0
             })
             .max_by(|a, b| {
                 a.admitted_at

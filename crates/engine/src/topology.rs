@@ -131,13 +131,16 @@ impl HeadPlacement {
             .unwrap_or(0)
     }
 
+    /// Devices of every stage in placement order, repeats included (a
+    /// device serving several stages appears once per stage). Allocates
+    /// nothing, unlike [`HeadPlacement::devices`].
+    pub fn iter_devices(&self) -> impl Iterator<Item = DeviceId> + '_ {
+        self.per_stage.iter().flatten().map(|&(d, _)| d)
+    }
+
     /// Devices used anywhere in the placement, deduplicated, sorted.
     pub fn devices(&self) -> Vec<DeviceId> {
-        let mut v: Vec<DeviceId> = self
-            .per_stage
-            .iter()
-            .flat_map(|s| s.iter().map(|&(d, _)| d))
-            .collect();
+        let mut v: Vec<DeviceId> = self.iter_devices().collect();
         v.sort();
         v.dedup();
         v
