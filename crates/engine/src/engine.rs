@@ -10,10 +10,11 @@
 use crate::churn::{ClusterEvent, ClusterEventKind, DeviceHealth, HealthView, ReplanRecord};
 use crate::config::{AdmissionPolicy, EngineConfig};
 use crate::control::ControlRecord;
+use crate::idhash::IdMap;
 use crate::memory::KvState;
 use crate::metrics::{CompletedRequest, ModuleSample, RunReport, TraceSample};
 use crate::policy::{Policy, PolicyCtx, VictimAction};
-use crate::request::{Phase, RunningRequest};
+use crate::request::{Phase, RequestTable, RunningRequest};
 use crate::stage::{decode_stage_breakdown, prefill_stage_breakdown, AttnLoad, StageBreakdown};
 use crate::topology::{HeadPlacement, InstanceRole, Topology};
 use hetis_cluster::{AttnWork, Cluster, DeviceId, MigrationStream};
@@ -96,8 +97,10 @@ struct Cohort {
     /// — which `debug_assert` checks on every formation. Maintained on
     /// decode entry/exit, re-dispatch, eviction and per-token context
     /// growth; replaces the old O(batch × stages × placement-entries)
-    /// rebuild in the decode hot loop.
-    load: Vec<HashMap<DeviceId, (u64, u64)>>,
+    /// rebuild in the decode hot loop. Keyed under the engine's integer
+    /// hasher: every decode member's token bumps one entry per placement
+    /// device, and the map is only ever read sorted by device.
+    load: Vec<IdMap<DeviceId, (u64, u64)>>,
 }
 
 /// Admission-ordering key of one waiting request under
@@ -226,7 +229,7 @@ struct InstanceState {
     stage_free_at: Vec<SimTime>,
     /// Requests of this instance in a running phase (Prefilling /
     /// Decoding / Migrating), maintained incrementally on phase and
-    /// instance transitions so admission never scans the request map.
+    /// instance transitions so admission never scans the request table.
     running: usize,
 }
 
@@ -269,7 +272,11 @@ pub struct Engine<'a, P: Policy> {
     policy: P,
     topo: Topology,
     kv: KvState,
-    requests: HashMap<RequestId, RunningRequest>,
+    /// Live requests only: [`Engine::finish`] retires each request from
+    /// the table as it completes (its `CompletedRequest` row and flow
+    /// record carry everything later readers need), so every scan over
+    /// it is O(unfinished).
+    requests: RequestTable,
     instances: Vec<InstanceState>,
     events: EventQueue<Event>,
     clock: Clock,
@@ -438,6 +445,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         let weights = device_weight_bytes(&pcfg, model);
         let kv = KvState::new(cluster, model, cfg.block_size, &weights)
             .expect("weights must fit the topology");
+        let requests = request_table_for(trace).expect("trace request ids must be unique");
 
         let instances = topo
             .instances
@@ -447,7 +455,7 @@ impl<'a, P: Policy> Engine<'a, P> {
                 pending_handoff: FifoQueue::new(),
                 cohorts: (0..i.depth())
                     .map(|_| Cohort {
-                        load: vec![HashMap::new(); i.depth()],
+                        load: vec![IdMap::default(); i.depth()],
                         ..Cohort::default()
                     })
                     .collect(),
@@ -507,7 +515,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             policy,
             topo,
             kv,
-            requests: HashMap::new(),
+            requests,
             instances,
             events,
             clock: Clock::new(),
@@ -827,11 +835,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         used.dedup();
         let total_kv_pool_bytes = self.kv.total_pool(&used);
         let usable_kv_bytes = crate::memory::usable_kv_bytes(self.model, &self.topo, &self.kv);
-        let unfinished = self
-            .requests
-            .values()
-            .filter(|r| r.phase != Phase::Done)
-            .count();
+        let unfinished = self.requests.len();
         RunReport {
             policy: self.policy.name(),
             completed: self.completed,
@@ -908,10 +912,10 @@ impl<'a, P: Policy> Engine<'a, P> {
 
     /// Admission tail of an arrival, after routing picked `inst`. Split
     /// out of [`Engine::on_arrival`] because the sharded coordinator
-    /// routes on its own engine (which sees every shard's request map)
+    /// routes on its own engine (which sees every shard's request table)
     /// and then admits on the shard that owns `inst`.
     fn admit_routed(&mut self, req: hetis_workload::Request, inst: usize) {
-        self.requests.insert(req.id, RunningRequest::new(req, inst));
+        self.requests.insert(RunningRequest::new(req, inst));
         self.instances[inst].waiting.enqueue(slack_key(&req));
         self.tap(FlowEventKind::Arrival {
             req: req.id,
@@ -1073,7 +1077,7 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// counting them out keeps the two chains from treating each other
     /// as pending work and ticking on until the drain deadline.
     fn work_remains(&self) -> bool {
-        self.requests.values().any(|r| r.phase != Phase::Done)
+        !self.requests.is_empty()
             || self.events.len() + self.shard_external_pending > self.sampling_pending as usize
     }
 
@@ -1190,8 +1194,8 @@ impl<'a, P: Policy> Engine<'a, P> {
         self.enforce_device_death(dev);
 
         // KV holders come from the device's request index; placements and
-        // migration sources still need the request map.
-        let live = |r: &RunningRequest| r.phase != Phase::Done && r.phase != Phase::Waiting;
+        // migration sources still need the request table.
+        let live = |r: &RunningRequest| r.phase != Phase::Waiting;
         let mut affected: Vec<RequestId> = self
             .kv
             .device(dev)
@@ -1289,7 +1293,9 @@ impl<'a, P: Policy> Engine<'a, P> {
                 pending.push(rid);
             }
             for rid in pending {
-                let r = &self.requests[&rid];
+                let Some(r) = self.requests.get(&rid) else {
+                    continue; // stale entry: the request has since finished
+                };
                 if r.phase != Phase::Migrating || r.in_flight || r.placement.is_none() {
                     continue; // stale entry: the request lives elsewhere
                 }
@@ -1323,7 +1329,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             let mut in_flight: Vec<RequestId> = self
                 .requests
                 .iter()
-                .filter(|(_, r)| r.instance == i && r.in_flight && r.phase != Phase::Done)
+                .filter(|(_, r)| r.instance == i && r.in_flight)
                 .map(|(rid, _)| *rid)
                 .collect();
             in_flight.sort();
@@ -1408,14 +1414,10 @@ impl<'a, P: Policy> Engine<'a, P> {
         if self.topo.instances[r.instance].role == InstanceRole::Down {
             return true;
         }
-        r.placement
-            .as_ref()
-            .map(|p| {
-                p.devices()
-                    .iter()
-                    .any(|&d| !self.health[d.index()].is_serving())
-            })
-            .unwrap_or(false)
+        r.placement.as_ref().is_some_and(|p| {
+            p.iter_devices()
+                .any(|d| !self.health[d.index()].is_serving())
+        })
     }
 
     /// Installs a policy-supplied replan topology. Primary stages of every
@@ -2080,10 +2082,13 @@ impl<'a, P: Policy> Engine<'a, P> {
             .iter()
             .filter(|rid| self.requests[rid].in_load_table)
             .count();
-        let mut per_stage: Vec<HashMap<DeviceId, (u64, u64)>> = co.load.clone();
+        // Usually every registered member is in the batch and the table
+        // is read as is; otherwise some sit this iteration out (stalled on
+        // memory, racing a victim decision) and come off a copy.
+        let adjusted: Vec<IdMap<DeviceId, (u64, u64)>>;
+        let mut per_stage: &[IdMap<DeviceId, (u64, u64)>] = &co.load;
         if registered != batch.len() {
-            // Some registered members sit this iteration out (stalled on
-            // memory, racing a victim decision): take them off the totals.
+            let mut copy = co.load.clone();
             let in_batch: std::collections::HashSet<RequestId> = batch.iter().copied().collect();
             for &rid in co.members.iter() {
                 let r = &self.requests[&rid];
@@ -2094,12 +2099,14 @@ impl<'a, P: Policy> Engine<'a, P> {
                 let placement = r.placement.as_ref().expect("registered request placed");
                 for (s, stage_pl) in placement.per_stage.iter().enumerate() {
                     for &(dev, heads) in stage_pl {
-                        let e = per_stage[s].get_mut(&dev).expect("registered device");
+                        let e = copy[s].get_mut(&dev).expect("registered device");
                         e.0 -= heads as u64;
                         e.1 -= heads as u64 / gqa * ctx * unit;
                     }
                 }
             }
+            adjusted = copy;
+            per_stage = &adjusted;
         }
         let mut stage_loads: Vec<Vec<AttnLoad>> = Vec::with_capacity(per_stage.len());
         for (s, map) in per_stage.iter().enumerate() {
@@ -2786,9 +2793,12 @@ impl<'a, P: Policy> Engine<'a, P> {
         from_queue: bool,
     ) -> bool {
         if from_queue {
-            let r = &self.requests[&rid];
             // Only a parked hand-off (Migrating, idle, placed) may
-            // proceed; anything else is a stale entry — drop it.
+            // proceed; anything else — including a request that has since
+            // finished and been retired — is a stale entry: drop it.
+            let Some(r) = self.requests.get(&rid) else {
+                return true;
+            };
             if r.phase != Phase::Migrating || r.in_flight || r.placement.is_none() {
                 return true;
             }
@@ -2979,9 +2989,13 @@ impl<'a, P: Policy> Engine<'a, P> {
                 },
             );
         }
-        let r = self.requests.get_mut(&rid).expect("live");
-        r.phase = Phase::Done;
-        r.in_flight = false;
+        self.running_dec(inst);
+        self.remove_cohort_member(inst, rid);
+        #[cfg(debug_assertions)]
+        self.assert_retirable(inst, rid);
+        // Retire: the request leaves the live table for good. Its row and
+        // flow record below carry everything a later reader needs.
+        let r = self.requests.remove(&rid).expect("live");
         let rec = CompletedRequest {
             id: rid,
             arrival: r.req.arrival,
@@ -3025,8 +3039,25 @@ impl<'a, P: Policy> Engine<'a, P> {
             }
             self.completed.push(rec);
         }
-        self.running_dec(inst);
-        self.remove_cohort_member(inst, rid);
+    }
+
+    /// Debug check that `rid` can leave the table without leaving a
+    /// dangling reference: it is on no cohort list of its instance and
+    /// holds no KV bytes anywhere. O(devices + cohort lists), no scan of
+    /// the request table.
+    #[cfg(debug_assertions)]
+    fn assert_retirable(&self, inst: usize, rid: RequestId) {
+        debug_assert!(
+            self.instances[inst]
+                .cohorts
+                .iter()
+                .all(|co| !co.members.contains(&rid) && !co.prefilling.contains(&rid)),
+            "finished request {rid:?} still on a cohort list of instance {inst}"
+        );
+        debug_assert!(
+            (0..self.kv.len()).all(|d| self.kv.device(DeviceId(d as u32)).request_bytes(rid) == 0),
+            "finished request {rid:?} still holds KV"
+        );
     }
 
     fn ensure_cohort_member(&mut self, inst: usize, rid: RequestId) {
@@ -3179,12 +3210,30 @@ impl<'a, P: Policy> Engine<'a, P> {
                 Phase::Prefilling => "prefilling",
                 Phase::Decoding => "decoding",
                 Phase::Migrating => "migrating",
-                Phase::Done => "done",
+                Phase::Done => unreachable!("finished requests are retired"),
             };
             *out[r.instance].entry(name).or_insert(0) += 1;
         }
         out
     }
+}
+
+/// An empty request table whose index covers every id of `trace`, or
+/// `None` when two trace requests share an id (they would share a slot).
+fn request_table_for(trace: &Trace) -> Option<RequestTable> {
+    let ids = trace
+        .requests()
+        .iter()
+        .map(|r| r.id.0 as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut seen = vec![false; ids];
+    for r in trace.requests() {
+        if std::mem::replace(&mut seen[r.id.0 as usize], true) {
+            return None;
+        }
+    }
+    Some(RequestTable::with_id_capacity(ids))
 }
 
 /// Admission key of a request (see [`SlackKey`]).

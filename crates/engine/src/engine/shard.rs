@@ -174,16 +174,10 @@ impl<'a, P: Policy> Engine<'a, P> {
             }
         }
         self.shard_external_pending = arrivals.len();
-        // Finished requests leave `self.requests` for this archive so the
-        // per-barrier split/absorb drains (and the liveness scan) touch
-        // only LIVE requests — O(live) per merge barrier instead of
-        // O(everything ever completed), which would be quadratic over a
-        // long trace. Re-attached before any sequential handoff or exit.
-        let mut done: HashMap<hetis_workload::RequestId, RunningRequest> = HashMap::new();
-        let mut split_base = match self.split_shards(&plan, &mut groups, &mut done) {
+        let mut split_base = match self.split_shards(&plan, &mut groups) {
             Some(base) => base,
             None => {
-                self.reattach_pending(arrivals, done);
+                self.reattach_pending(arrivals);
                 return self.run_to_completion();
             }
         };
@@ -197,8 +191,8 @@ impl<'a, P: Policy> Engine<'a, P> {
             run_windows(&mut groups, barrier, deadline);
             if barrier.is_none() {
                 // Quiescence: groups drained to empty (or the deadline).
-                self.absorb_shards(&mut groups, split_base, &mut done);
-                self.reattach_pending(arrivals, done);
+                self.absorb_shards(&mut groups, split_base);
+                self.reattach_pending(arrivals);
                 return;
             }
             // Pop the globally earliest barrier from whichever channel
@@ -213,8 +207,8 @@ impl<'a, P: Policy> Engine<'a, P> {
                 // The sequential loop stops at the first event beyond
                 // the drain deadline without processing it; unprocessed
                 // arrivals stay queued, exactly as sequentially.
-                self.absorb_shards(&mut groups, split_base, &mut done);
-                self.reattach_pending(arrivals, done);
+                self.absorb_shards(&mut groups, split_base);
+                self.reattach_pending(arrivals);
                 return;
             }
             if let Event::Arrival(i) = se.event {
@@ -223,7 +217,7 @@ impl<'a, P: Policy> Engine<'a, P> {
                 continue;
             }
             // Merge barrier: absorb, run the sequential handler, re-split.
-            self.absorb_shards(&mut groups, split_base, &mut done);
+            self.absorb_shards(&mut groups, split_base);
             self.clock.advance_to(se.at);
             self.dispatch_event(se.event);
             match self.compute_shard_plan(shards) {
@@ -232,16 +226,16 @@ impl<'a, P: Policy> Engine<'a, P> {
                         // Ownership changed (replan reshaped worker
                         // pools): rebuild the husks around the new claims.
                         let Some(g) = self.make_shard_groups(&p, &pristine) else {
-                            self.reattach_pending(arrivals, done);
+                            self.reattach_pending(arrivals);
                             return self.run_to_completion();
                         };
                         groups = g;
                         plan = p;
                     }
-                    match self.split_shards(&plan, &mut groups, &mut done) {
+                    match self.split_shards(&plan, &mut groups) {
                         Some(base) => split_base = base,
                         None => {
-                            self.reattach_pending(arrivals, done);
+                            self.reattach_pending(arrivals);
                             return self.run_to_completion();
                         }
                     }
@@ -251,26 +245,21 @@ impl<'a, P: Policy> Engine<'a, P> {
                 // state is already on `self`, and the pending arrivals
                 // return to the real queue.
                 _ => {
-                    self.reattach_pending(arrivals, done);
+                    self.reattach_pending(arrivals);
                     return self.run_to_completion();
                 }
             }
         }
     }
 
-    /// Returns state the sharded coordinator held outside the engine —
-    /// the pending-arrival side channel and the finished-request archive
-    /// — so the sequential path (fallback or post-run inspection) sees
-    /// exactly the state a sequential run would have.
-    fn reattach_pending(
-        &mut self,
-        arrivals: VecDeque<ScheduledEvent<Event>>,
-        done: HashMap<hetis_workload::RequestId, RunningRequest>,
-    ) {
+    /// Returns the pending-arrival side channel the sharded coordinator
+    /// held outside the engine, so the sequential path (fallback or
+    /// post-run inspection) sees exactly the state a sequential run would
+    /// have.
+    fn reattach_pending(&mut self, arrivals: VecDeque<ScheduledEvent<Event>>) {
         for se in arrivals {
             self.events.push_scheduled(se);
         }
-        self.requests.extend(done);
         self.shard_external_pending = 0;
     }
 
@@ -368,9 +357,6 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// violates the contract.
     fn shard_plan_holds(&self, plan: &ShardPlan) -> bool {
         let requests_ok = self.requests.values().all(|r| {
-            if r.phase == Phase::Done {
-                return true;
-            }
             let part = plan.group_of_instance[r.instance] as u32 + 1;
             let placed_ok = r
                 .placement
@@ -412,7 +398,7 @@ impl<'a, P: Policy> Engine<'a, P> {
                 pending_handoff: FifoQueue::new(),
                 cohorts: (0..i.depth())
                     .map(|_| Cohort {
-                        load: vec![HashMap::new(); i.depth()],
+                        load: vec![IdMap::default(); i.depth()],
                         ..Cohort::default()
                     })
                     .collect(),
@@ -439,7 +425,7 @@ impl<'a, P: Policy> Engine<'a, P> {
                 policy,
                 topo: self.topo.clone(),
                 kv: pristine.clone(),
-                requests: HashMap::new(),
+                requests: RequestTable::with_id_capacity(self.requests.id_capacity()),
                 instances: self.husk_instances(),
                 events: EventQueue::new(),
                 clock: self.clock.clone(),
@@ -502,12 +488,7 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// coordinator's sequence counter at the split (the renumbering
     /// watermark for the next merge), or `None` when a policy fork
     /// fails — in which case nothing has been moved.
-    fn split_shards(
-        &mut self,
-        plan: &ShardPlan,
-        groups: &mut [ShardGroup<'a>],
-        done: &mut HashMap<hetis_workload::RequestId, RunningRequest>,
-    ) -> Option<u64> {
+    fn split_shards(&mut self, plan: &ShardPlan, groups: &mut [ShardGroup<'a>]) -> Option<u64> {
         // Fresh forks every split; window hooks must see the policy
         // state as of this barrier.
         for g in groups.iter_mut() {
@@ -577,15 +558,13 @@ impl<'a, P: Policy> Engine<'a, P> {
             g.mig_base_count = self.migration.count();
             g.mig_base_bytes = self.migration.total_bytes();
         }
-        for (rid, r) in std::mem::take(&mut self.requests) {
-            if r.phase == Phase::Done {
-                done.insert(rid, r);
-            } else {
-                groups[plan.group_of_instance[r.instance]]
-                    .engine
-                    .requests
-                    .insert(rid, r);
-            }
+        // Finished requests were retired at completion, so this moves
+        // live requests only: O(live) per barrier.
+        for r in self.requests.drain() {
+            groups[plan.group_of_instance[r.instance]]
+                .engine
+                .requests
+                .insert(r);
         }
         // Prefix-cache entries partition exactly like requests: by the
         // owning instance. `shard_plan_holds` already verified every
@@ -605,12 +584,7 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// counters, the migration streams, and the key-ordered replay of
     /// captured side effects. `split_base` is the sequence watermark
     /// returned by the matching [`Engine::split_shards`].
-    fn absorb_shards(
-        &mut self,
-        groups: &mut [ShardGroup<'a>],
-        split_base: u64,
-        done: &mut HashMap<hetis_workload::RequestId, RunningRequest>,
-    ) {
+    fn absorb_shards(&mut self, groups: &mut [ShardGroup<'a>], split_base: u64) {
         let mut window_events: Vec<ScheduledEvent<Event>> = Vec::new();
         let mut items: Vec<((SimTime, u64), Captured)> = Vec::new();
         let mut max_clock = self.clock.now();
@@ -635,12 +609,8 @@ impl<'a, P: Policy> Engine<'a, P> {
                 let d = DeviceId(d as u32);
                 std::mem::swap(self.kv.device_mut(d), e.kv.device_mut(d));
             }
-            for (rid, r) in std::mem::take(&mut e.requests) {
-                if r.phase == Phase::Done {
-                    done.insert(rid, r);
-                } else {
-                    self.requests.insert(rid, r);
-                }
+            for r in e.requests.drain() {
+                self.requests.insert(r);
             }
             self.events_processed += std::mem::take(&mut e.events_processed);
             self.preemptions += std::mem::take(&mut e.preemptions);
@@ -721,10 +691,9 @@ impl<'a, P: Policy> Engine<'a, P> {
             let kv_parts: Vec<&KvState> = std::iter::once(&self.kv)
                 .chain(groups.iter().map(|g| &g.engine.kv))
                 .collect();
-            let req_parts: Vec<&HashMap<RequestId, RunningRequest>> =
-                std::iter::once(&self.requests)
-                    .chain(groups.iter().map(|g| &g.engine.requests))
-                    .collect();
+            let req_parts: Vec<&RequestTable> = std::iter::once(&self.requests)
+                .chain(groups.iter().map(|g| &g.engine.requests))
+                .collect();
             let prefix_parts: Vec<&crate::prefix::PrefixCache> = std::iter::once(&self.prefix)
                 .chain(groups.iter().map(|g| &g.engine.prefix))
                 .collect();

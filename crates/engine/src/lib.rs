@@ -36,6 +36,7 @@ pub mod churn;
 pub mod config;
 pub mod control;
 pub mod engine;
+mod idhash;
 pub mod memory;
 pub mod metrics;
 pub mod policy;
@@ -56,7 +57,7 @@ pub use policy::{
     Handoff, KvView, Policy, PolicyCtx, PrefixView, RedispatchOp, RequestsView, VictimAction,
 };
 pub use prefix::{PrefixCache, PrefixEntry};
-pub use request::{Phase, RunningRequest};
+pub use request::{Phase, RequestTable, RunningRequest};
 pub use stage::{
     decode_stage_breakdown, fused_stage_breakdown, prefill_stage_breakdown, AttnLoad,
     StageBreakdown,

@@ -29,10 +29,12 @@
 //! `stage_kv_bytes_per_layer`, `resident_query_heads`) and the pool reads
 //! are O(1). Per-request operations (`allocate`, `append_*`, `grow_*`,
 //! `shrink_groups`, `grow_groups`, `free_request`, `entry`,
-//! `request_bytes`) are one hash lookup plus O(slots of that request).
+//! `request_bytes`) are one hash lookup plus O(slots of that request); the
+//! index hashes with the engine's integer hasher (`idhash`), not SipHash.
 //! Only the listings (`resident_requests`, `stage_residents`, `holders`)
 //! walk every resident request of the device.
 
+use crate::idhash::IdMap;
 use hetis_cluster::{Cluster, DeviceId, MemoryLedger};
 use hetis_model::ModelSpec;
 use hetis_workload::RequestId;
@@ -95,7 +97,7 @@ pub struct DeviceKv {
     ledger: MemoryLedger,
     /// Request index: each resident request → its `(stage, entry)` slots
     /// here. At most one slot per stage, no zero-group slot, no empty list.
-    entries: HashMap<RequestId, Vec<(u16, KvEntry)>>,
+    entries: IdMap<RequestId, Vec<(u16, KvEntry)>>,
     /// Running totals indexed by stage (grown on first use). Every mutator
     /// updates them, so they always equal a rescan of `entries`.
     stages: Vec<StageTotals>,
@@ -110,7 +112,7 @@ impl DeviceKv {
     fn new(ledger: MemoryLedger, block_unit: u64, block_size: u32) -> DeviceKv {
         DeviceKv {
             ledger,
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             stages: Vec::new(),
             groups: 0,
             block_unit,

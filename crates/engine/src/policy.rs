@@ -9,13 +9,11 @@
 use crate::config::EngineConfig;
 use crate::memory::{DeviceKv, KvState};
 use crate::prefix::{PrefixCache, PrefixEntry};
-use crate::request::RunningRequest;
+use crate::request::{RequestTable, RunningRequest};
 use crate::topology::{HeadPlacement, Topology};
 use hetis_cluster::{Cluster, DeviceId};
 use hetis_model::ModelSpec;
 use hetis_workload::{Request, RequestId};
-use std::collections::hash_map;
-use std::collections::HashMap;
 
 /// Read-only, zero-copy view over one or more KV-state partitions.
 ///
@@ -55,22 +53,27 @@ impl<'a> KvView<'a> {
     }
 }
 
-/// Read-only, zero-copy view over one or more live-request maps — the
-/// request-side analogue of [`KvView`], with the map API policy hooks
+/// Read-only, zero-copy view over one or more live-request tables — the
+/// request-side analogue of [`KvView`], with the table API policy hooks
 /// actually use (`get`, indexing, `values`, `len`).
+///
+/// Policies see **unfinished requests only**: the engine retires a
+/// request from its table the moment it completes, so no view ever
+/// yields a [`crate::request::Phase::Done`] request, and `len` counts
+/// requests that are waiting, running or migrating.
 #[derive(Clone, Copy)]
 pub enum RequestsView<'a> {
-    /// One engine's complete request map (the hot path).
-    Single(&'a HashMap<RequestId, RunningRequest>),
-    /// Per-shard-group request maps in group-rank order; a request lives
-    /// in exactly one part.
-    Sharded(&'a [&'a HashMap<RequestId, RunningRequest>]),
+    /// One engine's complete request table (the hot path).
+    Single(&'a RequestTable),
+    /// Per-shard-group request tables in group-rank order; a request
+    /// lives in exactly one part.
+    Sharded(&'a [&'a RequestTable]),
 }
 
 impl<'a> RequestsView<'a> {
-    /// View over a single engine's request map.
+    /// View over a single engine's request table.
     #[inline]
-    pub fn single(requests: &'a HashMap<RequestId, RunningRequest>) -> Self {
+    pub fn single(requests: &'a RequestTable) -> Self {
         RequestsView::Single(requests)
     }
 
@@ -78,16 +81,16 @@ impl<'a> RequestsView<'a> {
     #[inline]
     pub fn get(&self, id: &RequestId) -> Option<&'a RunningRequest> {
         match *self {
-            RequestsView::Single(m) => m.get(id),
-            RequestsView::Sharded(parts) => parts.iter().find_map(|m| m.get(id)),
+            RequestsView::Single(t) => t.get(id),
+            RequestsView::Sharded(parts) => parts.iter().find_map(|t| t.get(id)),
         }
     }
 
     /// Total number of live requests.
     pub fn len(&self) -> usize {
         match *self {
-            RequestsView::Single(m) => m.len(),
-            RequestsView::Sharded(parts) => parts.iter().map(|m| m.len()).sum(),
+            RequestsView::Single(t) => t.len(),
+            RequestsView::Sharded(parts) => parts.iter().map(|t| t.len()).sum(),
         }
     }
 
@@ -97,16 +100,14 @@ impl<'a> RequestsView<'a> {
     }
 
     /// Iterates every live request (parts in group-rank order; within a
-    /// part, map order — callers must not depend on ordering, exactly as
-    /// with the underlying `HashMap`).
+    /// part, slot order — callers must not depend on ordering, which
+    /// insertions and retirements permute).
     pub fn values(&self) -> RequestsValues<'a> {
-        fn part_values<'b>(
-            m: &&'b HashMap<RequestId, RunningRequest>,
-        ) -> hash_map::Values<'b, RequestId, RunningRequest> {
-            m.values()
+        fn part_values<'b>(t: &&'b RequestTable) -> std::slice::Iter<'b, RunningRequest> {
+            t.values()
         }
         match *self {
-            RequestsView::Single(m) => RequestsValues::One(m.values()),
+            RequestsView::Single(t) => RequestsValues::One(t.values()),
             RequestsView::Sharded(parts) => {
                 RequestsValues::Many(parts.iter().flat_map(part_values))
             }
@@ -114,17 +115,17 @@ impl<'a> RequestsView<'a> {
     }
 }
 
-/// Flattened iterator over the per-part request maps of a sharded view.
+/// Flattened iterator over the per-part request tables of a sharded view.
 type PartsValues<'a> = std::iter::FlatMap<
-    std::slice::Iter<'a, &'a HashMap<RequestId, RunningRequest>>,
-    hash_map::Values<'a, RequestId, RunningRequest>,
-    fn(&&'a HashMap<RequestId, RunningRequest>) -> hash_map::Values<'a, RequestId, RunningRequest>,
+    std::slice::Iter<'a, &'a RequestTable>,
+    std::slice::Iter<'a, RunningRequest>,
+    fn(&&'a RequestTable) -> std::slice::Iter<'a, RunningRequest>,
 >;
 
 /// Iterator over [`RequestsView::values`].
 pub enum RequestsValues<'a> {
-    /// Single-map fast path.
-    One(hash_map::Values<'a, RequestId, RunningRequest>),
+    /// Single-table fast path.
+    One(std::slice::Iter<'a, RunningRequest>),
     /// Chained multi-part iteration.
     Many(PartsValues<'a>),
 }
@@ -538,6 +539,7 @@ mod tests {
     use super::*;
     use crate::topology::{InstanceRole, InstanceTopo, StageTopo};
     use hetis_parallel::StageConfig;
+    use std::collections::HashMap;
 
     #[test]
     fn static_policy_round_robins() {
@@ -564,7 +566,7 @@ mod tests {
             ],
         };
         let kv = KvState::new(&cluster, &model, 16, &HashMap::new()).unwrap();
-        let requests = HashMap::new();
+        let requests = RequestTable::default();
         let mut p = StaticPolicy::new("static", topo.clone());
         let ctx = PolicyCtx {
             cluster: &cluster,

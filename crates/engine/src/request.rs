@@ -2,7 +2,7 @@
 
 use crate::topology::HeadPlacement;
 use hetis_cluster::DeviceId;
-use hetis_workload::Request;
+use hetis_workload::{Request, RequestId};
 
 /// Lifecycle phase of a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,7 +16,8 @@ pub enum Phase {
     /// Temporarily blocked on a KV migration (post-prefill scatter,
     /// Splitwise handoff, or a re-dispatch move).
     Migrating,
-    /// Finished.
+    /// Finished. The engine retires a request from its [`RequestTable`]
+    /// as it finishes, so no live request is ever in this phase.
     Done,
 }
 
@@ -150,10 +151,130 @@ impl RunningRequest {
     }
 }
 
+/// Index value of an id with no live request.
+const VACANT: u32 = u32::MAX;
+
+/// The engine's live requests: a dense `Vec` of [`RunningRequest`]s plus
+/// a position index keyed by `RequestId.0`.
+///
+/// Lookups are two array reads, with no hashing. Removal is a
+/// `swap_remove` that re-points the moved request's index entry, so the
+/// slots stay dense and [`RequestTable::values`] walks live requests
+/// only. The engine removes a request the moment it finishes, so every
+/// scan is O(live), never O(ever admitted). Iteration order is slot
+/// order, which insertions and removals permute; callers must not depend
+/// on it.
+///
+/// Ids index a `Vec`, so they should be dense: every trace generator
+/// numbers requests `0..n`. The index grows on demand to the largest id
+/// inserted.
+#[derive(Debug, Clone, Default)]
+pub struct RequestTable {
+    slots: Vec<RunningRequest>,
+    /// `RequestId.0` → position in `slots`, or [`VACANT`].
+    index: Vec<u32>,
+}
+
+impl RequestTable {
+    /// An empty table whose index already covers ids `0..ids`.
+    pub fn with_id_capacity(ids: usize) -> Self {
+        RequestTable {
+            slots: Vec::new(),
+            index: vec![VACANT; ids],
+        }
+    }
+
+    /// Number of ids the index covers without growing.
+    pub fn id_capacity(&self) -> usize {
+        self.index.len()
+    }
+
+    #[inline]
+    fn position(&self, id: &RequestId) -> Option<usize> {
+        let pos = *self.index.get(usize::try_from(id.0).ok()?)?;
+        (pos != VACANT).then_some(pos as usize)
+    }
+
+    /// The live request `id`, if any.
+    #[inline]
+    pub fn get(&self, id: &RequestId) -> Option<&RunningRequest> {
+        self.position(id).map(|p| &self.slots[p])
+    }
+
+    /// The live request `id`, mutably, if any.
+    #[inline]
+    pub fn get_mut(&mut self, id: &RequestId) -> Option<&mut RunningRequest> {
+        self.position(id).map(|p| &mut self.slots[p])
+    }
+
+    /// Inserts `r` under its own id, returning the request it replaced.
+    pub fn insert(&mut self, r: RunningRequest) -> Option<RunningRequest> {
+        let key = usize::try_from(r.req.id.0).expect("request id fits usize");
+        if let Some(p) = self.position(&r.req.id) {
+            return Some(std::mem::replace(&mut self.slots[p], r));
+        }
+        if key >= self.index.len() {
+            self.index.resize(key + 1, VACANT);
+        }
+        self.index[key] = u32::try_from(self.slots.len()).expect("fewer than 2^32 live requests");
+        self.slots.push(r);
+        None
+    }
+
+    /// Removes and returns the live request `id`.
+    pub fn remove(&mut self, id: &RequestId) -> Option<RunningRequest> {
+        let p = self.position(id)?;
+        self.index[id.0 as usize] = VACANT;
+        let r = self.slots.swap_remove(p);
+        if let Some(moved) = self.slots.get(p) {
+            self.index[moved.req.id.0 as usize] = p as u32;
+        }
+        Some(r)
+    }
+
+    /// Removes every request, keeping the index allocation.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, RunningRequest> {
+        for r in &self.slots {
+            self.index[r.req.id.0 as usize] = VACANT;
+        }
+        self.slots.drain(..)
+    }
+
+    /// Live requests, in slot order.
+    #[inline]
+    pub fn values(&self) -> std::slice::Iter<'_, RunningRequest> {
+        self.slots.iter()
+    }
+
+    /// `(id, request)` pairs, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (&RequestId, &RunningRequest)> {
+        self.slots.iter().map(|r| (&r.req.id, r))
+    }
+
+    /// Number of live requests.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when no request is live.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+}
+
+impl std::ops::Index<&RequestId> for RequestTable {
+    type Output = RunningRequest;
+    #[inline]
+    fn index(&self, id: &RequestId) -> &RunningRequest {
+        self.get(id).expect("no live request with this id")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetis_workload::RequestId;
 
     fn req() -> Request {
         Request {
@@ -196,5 +317,121 @@ mod tests {
         assert_eq!(r.generated, 2); // emitted tokens stay emitted
         assert_eq!(r.preemptions, 1);
         assert!(r.placement.is_none());
+    }
+
+    /// A request with id `id`, tagged through `generated` so a test can
+    /// tell which insertion a slot holds.
+    fn tagged(id: u64, tag: u32) -> RunningRequest {
+        let mut r = RunningRequest::new(
+            Request {
+                id: RequestId(id),
+                ..req()
+            },
+            0,
+        );
+        r.generated = tag;
+        r
+    }
+
+    #[test]
+    fn table_swap_remove_fixes_the_moved_index() {
+        let mut t = RequestTable::with_id_capacity(4);
+        // Out of order and sparse: ids beyond the initial capacity grow
+        // the index.
+        for (id, tag) in [(7, 70), (3, 30), (40, 400), (0, 0)] {
+            assert!(t.insert(tagged(id, tag)).is_none());
+        }
+        assert_eq!(t.len(), 4);
+        // Middle slot: the last request (id 0) moves into slot 1.
+        assert_eq!(t.remove(&RequestId(3)).map(|r| r.generated), Some(30));
+        assert_eq!(t[&RequestId(0)].generated, 0);
+        assert_eq!(t[&RequestId(40)].generated, 400);
+        // Last slot: nothing moves.
+        assert_eq!(t.remove(&RequestId(40)).map(|r| r.generated), Some(400));
+        // Absent ids, in and out of the index's range.
+        assert!(t.remove(&RequestId(3)).is_none());
+        assert!(t.remove(&RequestId(1_000)).is_none());
+        assert!(t.get(&RequestId(u64::MAX)).is_none());
+        // Re-inserting a live id replaces it in place.
+        assert_eq!(t.insert(tagged(7, 71)).map(|r| r.generated), Some(70));
+        let mut live: Vec<(u64, u32)> = t.values().map(|r| (r.req.id.0, r.generated)).collect();
+        live.sort();
+        assert_eq!(live, vec![(0, 0), (7, 71)]);
+        assert_eq!(t.drain().count(), 2);
+        assert!(t.is_empty() && t.get(&RequestId(7)).is_none());
+        assert!(t.id_capacity() >= 41);
+    }
+
+    mod table_oracle {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::HashMap;
+
+        /// Sparse, unsorted ids; some beyond any initial index capacity.
+        const IDS: [u64; 10] = [5, 0, 13, 2, 97, 1, 40, 8, 250, 3];
+
+        fn check(t: &RequestTable, oracle: &HashMap<u64, u32>) -> Result<(), TestCaseError> {
+            prop_assert_eq!(t.len(), oracle.len());
+            prop_assert_eq!(t.is_empty(), oracle.is_empty());
+            for id in IDS.iter().copied().chain([4, 1_000]) {
+                let got = t.get(&RequestId(id)).map(|r| (r.req.id.0, r.generated));
+                prop_assert_eq!(got, oracle.get(&id).map(|&tag| (id, tag)));
+            }
+            let mut values: Vec<(u64, u32)> =
+                t.values().map(|r| (r.req.id.0, r.generated)).collect();
+            values.sort();
+            let mut expected: Vec<(u64, u32)> = oracle.iter().map(|(&i, &g)| (i, g)).collect();
+            expected.sort();
+            prop_assert_eq!(values, expected);
+            prop_assert!(t.iter().all(|(id, r)| *id == r.req.id));
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Random insert / get_mut / remove / drain sequences over a
+            /// sparse id pool: after every operation the table agrees
+            /// with a `HashMap` oracle on `get`, `len` and the multiset
+            /// of `values`.
+            #[test]
+            fn table_matches_hashmap_oracle(
+                ops in collection::vec((0u8..7, 0usize..IDS.len(), 0u32..1_000), 1..200),
+                capacity in 0usize..16,
+            ) {
+                let mut t = RequestTable::with_id_capacity(capacity);
+                let mut oracle: HashMap<u64, u32> = HashMap::new();
+                for &(kind, k, tag) in &ops {
+                    let id = IDS[k];
+                    match kind {
+                        0..=2 => {
+                            let prev = t.insert(tagged(id, tag)).map(|r| r.generated);
+                            prop_assert_eq!(prev, oracle.insert(id, tag));
+                        }
+                        3 => {
+                            let hit = t.get_mut(&RequestId(id)).map(|r| r.generated = tag);
+                            let expected = oracle.get_mut(&id).map(|g| *g = tag);
+                            prop_assert_eq!(hit, expected);
+                        }
+                        4 | 5 => {
+                            let gone = t.remove(&RequestId(id)).map(|r| (r.req.id.0, r.generated));
+                            prop_assert_eq!(gone, oracle.remove(&id).map(|g| (id, g)));
+                        }
+                        _ => {
+                            // Rare full drain, then keep going on the
+                            // emptied table (the index stays allocated).
+                            if tag < 50 {
+                                let mut drained: Vec<u64> = t.drain().map(|r| r.req.id.0).collect();
+                                drained.sort();
+                                let mut keys: Vec<u64> = oracle.drain().map(|(i, _)| i).collect();
+                                keys.sort();
+                                prop_assert_eq!(drained, keys);
+                            }
+                        }
+                    }
+                    check(&t, &oracle)?;
+                }
+            }
+        }
     }
 }
