@@ -554,12 +554,6 @@ impl Policy for HelixPolicy {
             None => VictimAction::Stall,
         }
     }
-
-    fn fork(&self) -> Option<Box<dyn Policy + Send>> {
-        // The plan is immutable after `topology`; routing credits never
-        // advance on a fork (routing hooks don't run there).
-        Some(Box::new(self.clone()))
-    }
 }
 
 #[cfg(test)]

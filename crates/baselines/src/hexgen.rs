@@ -253,12 +253,6 @@ impl Policy for HexgenPolicy {
             None => VictimAction::Stall,
         }
     }
-
-    fn fork(&self) -> Option<Box<dyn Policy + Send>> {
-        // Stateless apart from the routing cursor, which never runs on a
-        // fork.
-        Some(Box::new(self.clone()))
-    }
 }
 
 #[cfg(test)]

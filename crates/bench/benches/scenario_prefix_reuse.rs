@@ -14,8 +14,7 @@
 //! rows. Exits non-zero unless reuse strictly improves interactive mean
 //! AND p99 TTFT, strictly lowers peak reserved KV, loses no tokens, and
 //! keeps goodput at least equal — with bit-identical digests across
-//! same-seed reruns and across `sim_shards` ∈ {1, 2, 4} (the cache
-//! partitions per device-disjoint shard group).
+//! same-seed reruns.
 
 use hetis_bench::{bench_engine_config, bench_hetis_config, bench_profile_for, f, tsv_header};
 use hetis_cluster::cluster::paper_cluster;
@@ -45,11 +44,10 @@ fn main() {
     let trace = multi_turn_trace(&spec, 4242);
 
     let profile = bench_profile_for(DatasetKind::ShareGpt, &cluster, &model);
-    let run_named = |which: &str, shards: usize| -> RunReport {
+    let run_named = |which: &str| -> RunReport {
         let mut cfg = bench_engine_config();
         cfg.prefill_chunk_tokens = Some(512);
         cfg.admission = AdmissionPolicy::SloSlack;
-        cfg.sim_shards = shards;
         match which {
             "reuse-off" => {}
             "reuse-on" => cfg.prefix_reuse = true,
@@ -80,7 +78,7 @@ fn main() {
     let mut reports = std::collections::HashMap::new();
     for which in ["reuse-off", "reuse-on"] {
         let wall_start = std::time::Instant::now();
-        let report = run_named(which, 1);
+        let report = run_named(which);
         let wall = wall_start.elapsed().as_secs_f64();
         println!(
             "prefix_reuse\tsim-throughput\t{which}\tsim_s={}\twall_s={}\tsim_per_wall={}\tevents={}\tevents_per_s={}",
@@ -124,7 +122,7 @@ fn main() {
 
     // Determinism: same seed, same digest — for both systems.
     for which in ["reuse-off", "reuse-on"] {
-        let again = run_named(which, 1);
+        let again = run_named(which);
         let same = reports[which].digest() == again.digest();
         println!(
             "prefix_reuse\tdeterminism\t{which}\tdigest_a={:016x}\tdigest_b={:016x}\t{}",
@@ -133,25 +131,6 @@ fn main() {
             if same { "IDENTICAL" } else { "DIVERGED" }
         );
         assert!(same, "{which}: same seed must reproduce the digest");
-    }
-
-    // Shard invariance: the reuse-on digest is bit-identical for 1, 2
-    // and 4 shards (the per-device cache splits along device-disjoint
-    // shard groups and every registration replays in simulated order).
-    for shards in [2usize, 4] {
-        let sharded = run_named("reuse-on", shards);
-        let same = on.digest() == sharded.digest();
-        println!(
-            "prefix_reuse\tshard-invariance\treuse-on\tshards={shards}\tdigest={:016x}\t{}",
-            sharded.digest(),
-            if same { "IDENTICAL" } else { "DIVERGED" }
-        );
-        assert!(
-            same,
-            "sim_shards={shards} diverged from the sequential reuse-on digest"
-        );
-        assert_eq!(on.prefix_hits, sharded.prefix_hits);
-        assert_eq!(on.shared_kv_bytes, sharded.shared_kv_bytes);
     }
 
     // The cache must actually serve warm prefixes on this trace.

@@ -19,7 +19,7 @@
 use crate::config::{DispatchSolver, HetisConfig};
 use crate::profiler::Profiler;
 use hetis_cluster::{Cluster, DeviceId};
-use hetis_engine::{KvView, StageTopo};
+use hetis_engine::{KvState, StageTopo};
 use hetis_lp::{
     round_to_groups, ConstraintOp, MinMaxBuilder, MinMaxSolution, WaterFill, WfDemand, WfDevice,
     WfOutcome,
@@ -120,7 +120,7 @@ impl Dispatcher {
         &self,
         cluster: &Cluster,
         model: &ModelSpec,
-        kv: KvView<'_>,
+        kv: &KvState,
         stage: &StageTopo,
         stage_idx: u16,
         new_reqs: &[u32],
@@ -155,7 +155,7 @@ impl Dispatcher {
         &self,
         cluster: &Cluster,
         model: &ModelSpec,
-        kv: KvView<'_>,
+        kv: &KvState,
         stage: &StageTopo,
         stage_idx: u16,
         new_reqs: &[u32],
@@ -192,7 +192,7 @@ impl Dispatcher {
         &self,
         cluster: &Cluster,
         model: &ModelSpec,
-        kv: KvView<'_>,
+        kv: &KvState,
         stage: &StageTopo,
         stage_idx: u16,
         new_reqs: &[u32],
@@ -386,7 +386,7 @@ impl Dispatcher {
         &self,
         cluster: &Cluster,
         model: &ModelSpec,
-        kv: KvView<'_>,
+        kv: &KvState,
         stage: &StageTopo,
         stage_idx: u16,
     ) -> Option<f64> {
@@ -525,7 +525,7 @@ impl Dispatcher {
         &self,
         cluster: &Cluster,
         model: &ModelSpec,
-        kv: KvView<'_>,
+        kv: &KvState,
         stage: &StageTopo,
         stage_idx: u16,
     ) -> (f64, Option<DeviceId>) {
@@ -560,7 +560,6 @@ mod tests {
     use super::*;
     use hetis_cluster::cluster::paper_cluster;
     use hetis_cluster::GpuType;
-    use hetis_engine::{KvState, StageTopo};
     use hetis_model::llama_70b;
     use hetis_parallel::StageConfig;
     use std::collections::HashMap;
@@ -591,7 +590,7 @@ mod tests {
         // (network beta makes remote placement unprofitable).
         let (cluster, model, kv, stage, d) = setup();
         let out = d
-            .dispatch(&cluster, &model, KvView::single(&kv), &stage, 0, &[512])
+            .dispatch(&cluster, &model, &kv, &stage, 0, &[512])
             .unwrap();
         assert_eq!(out.heads.len(), 1);
         let total: u32 = out.heads[0].iter().sum();
@@ -619,7 +618,7 @@ mod tests {
             }
         }
         let out = d
-            .dispatch(&cluster, &model, KvView::single(&kv), &stage, 0, &[2000])
+            .dispatch(&cluster, &model, &kv, &stage, 0, &[2000])
             .unwrap();
         let remote: u32 = out.heads[0][4..].iter().sum();
         assert!(
@@ -633,14 +632,7 @@ mod tests {
     fn head_counts_are_group_multiples() {
         let (cluster, model, kv, stage, d) = setup();
         let out = d
-            .dispatch(
-                &cluster,
-                &model,
-                KvView::single(&kv),
-                &stage,
-                0,
-                &[700, 1400, 300],
-            )
+            .dispatch(&cluster, &model, &kv, &stage, 0, &[700, 1400, 300])
             .unwrap();
         for per_req in &out.heads {
             assert_eq!(per_req.iter().sum::<u32>(), 64);
@@ -670,7 +662,7 @@ mod tests {
                     .unwrap();
             }
         }
-        let out = d.dispatch(&cluster, &model, KvView::single(&kv), &stage, 0, &[100_000]);
+        let out = d.dispatch(&cluster, &model, &kv, &stage, 0, &[100_000]);
         assert!(out.is_none(), "oversized request must be rejected");
     }
 
@@ -684,10 +676,9 @@ mod tests {
                 .allocate(hetis_workload::RequestId(q), 0, 8, 3000, 80)
                 .unwrap();
         }
-        let (current, bottleneck) =
-            d.current_attention_time(&cluster, &model, KvView::single(&kv), &stage, 0);
+        let (current, bottleneck) = d.current_attention_time(&cluster, &model, &kv, &stage, 0);
         let ideal = d
-            .ideal_attention_time(&cluster, &model, KvView::single(&kv), &stage, 0)
+            .ideal_attention_time(&cluster, &model, &kv, &stage, 0)
             .unwrap();
         assert_eq!(bottleneck, Some(dev));
         assert!(ideal < current, "ideal {ideal} vs current {current}");
@@ -698,15 +689,13 @@ mod tests {
     #[test]
     fn empty_batch_trivial() {
         let (cluster, model, kv, stage, d) = setup();
-        let out = d
-            .dispatch(&cluster, &model, KvView::single(&kv), &stage, 0, &[])
-            .unwrap();
+        let out = d.dispatch(&cluster, &model, &kv, &stage, 0, &[]).unwrap();
         assert!(out.heads.is_empty());
-        let (t, dev) = d.current_attention_time(&cluster, &model, KvView::single(&kv), &stage, 0);
+        let (t, dev) = d.current_attention_time(&cluster, &model, &kv, &stage, 0);
         assert_eq!(t, 0.0);
         assert!(dev.is_none());
         assert_eq!(
-            d.ideal_attention_time(&cluster, &model, KvView::single(&kv), &stage, 0),
+            d.ideal_attention_time(&cluster, &model, &kv, &stage, 0),
             Some(0.0)
         );
     }

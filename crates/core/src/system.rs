@@ -228,14 +228,6 @@ impl Policy for HetisPolicy {
             self.victim_mode,
         )
     }
-
-    fn fork(&self) -> Option<Box<dyn Policy + Send>> {
-        // Everything behaviorally relevant to the window hooks (the
-        // fitted dispatcher, config, victim mode) is immutable after
-        // `topology()`; the round-robin cursor only moves in `route`,
-        // which never runs on a fork.
-        Some(Box::new(self.clone()))
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 use hetis_cluster::cluster::paper_cluster;
 use hetis_cluster::GpuType;
 use hetis_core::{Dispatcher, HetisConfig, Profiler};
-use hetis_engine::{KvState, KvView, StageTopo};
+use hetis_engine::{KvState, StageTopo};
 use hetis_model::llama_70b;
 use hetis_parallel::StageConfig;
 use hetis_workload::RequestId;
@@ -60,7 +60,7 @@ proptest! {
     ) {
         let (cluster, model, kv, stage, dispatcher) = setup(&resident);
         let devices = stage.attention_devices();
-        let Some(out) = dispatcher.dispatch(&cluster, &model, KvView::single(&kv), &stage, 0, &lens) else {
+        let Some(out) = dispatcher.dispatch(&cluster, &model, &kv, &stage, 0, &lens) else {
             // Infeasible is a legal outcome under heavy residency.
             return Ok(());
         };
@@ -95,8 +95,8 @@ proptest! {
         resident in proptest::collection::vec((0usize..6, 1u32..9, 64u32..3000), 1..40),
     ) {
         let (cluster, model, kv, stage, dispatcher) = setup(&resident);
-        let (current, _) = dispatcher.current_attention_time(&cluster, &model, KvView::single(&kv), &stage, 0);
-        if let Some(ideal) = dispatcher.ideal_attention_time(&cluster, &model, KvView::single(&kv), &stage, 0) {
+        let (current, _) = dispatcher.current_attention_time(&cluster, &model, &kv, &stage, 0);
+        if let Some(ideal) = dispatcher.ideal_attention_time(&cluster, &model, &kv, &stage, 0) {
             // §5.3.1: f* is a relaxation — never worse than the status quo
             // (small tolerance for LP roundoff).
             prop_assert!(ideal <= current * 1.001 + 1e-9, "ideal {ideal} > current {current}");

@@ -758,11 +758,11 @@ mod tests {
             cluster: &c,
             model: &model,
             now: 0.0,
-            kv: hetis_engine::KvView::single(&kv),
-            requests: hetis_engine::RequestsView::single(&requests),
+            kv: &kv,
+            requests: &requests,
             topology: &topo,
             prefill_chunk_tokens: None,
-            prefix: hetis_engine::PrefixView::Empty,
+            prefix: None,
         };
         let view = HealthView::new(full_health(&c));
         let plan = ctl
@@ -880,11 +880,11 @@ mod tests {
             cluster: &c,
             model: &model,
             now: 0.0,
-            kv: hetis_engine::KvView::single(&kv),
-            requests: hetis_engine::RequestsView::single(&requests),
+            kv: &kv,
+            requests: &requests,
             topology: &topo,
             prefill_chunk_tokens: None,
-            prefix: hetis_engine::PrefixView::Empty,
+            prefix: None,
         };
         let (ideal, evaluated) =
             ideal_search(&c, &accepting, &ctx, &profile, &HetisConfig::default())

@@ -26,8 +26,6 @@ use hetis_workload::{RequestId, Trace};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-mod shard;
-
 /// Engine events.
 #[derive(Debug, Clone)]
 enum Event {
@@ -241,22 +239,18 @@ macro_rules! ctx {
             cluster: $self.cluster,
             model: $self.model,
             now: $self.clock.now().as_secs(),
-            kv: crate::policy::KvView::single(&$self.kv),
-            requests: crate::policy::RequestsView::single(&$self.requests),
+            kv: &$self.kv,
+            requests: &$self.requests,
             topology: &$self.topo,
             prefill_chunk_tokens: $self.cfg.prefill_chunk_tokens,
-            prefix: if $self.cfg.prefix_reuse {
-                crate::policy::PrefixView::Single(&$self.prefix)
-            } else {
-                crate::policy::PrefixView::Empty
-            },
+            prefix: $self.cfg.prefix_reuse.then_some(&$self.prefix),
         }
     };
 }
 
 /// Per-instance kernel-jitter streams: stream `i` depends only on
-/// `(seed, i)`, never on instance count or draw interleaving, so shard
-/// groups and husk engines reproduce the sequential draws exactly.
+/// `(seed, i)`, so one instance's draws never depend on how its
+/// iterations interleave with other instances'.
 fn per_instance_jitter(seed: u64, instances: usize) -> Vec<SplitMix64> {
     (0..instances as u64)
         .map(|i| SplitMix64::new(seed ^ (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
@@ -281,9 +275,7 @@ pub struct Engine<'a, P: Policy> {
     events: EventQueue<Event>,
     clock: Clock,
     /// Kernel-jitter RNG, pre-split per instance: stream `i` is seeded
-    /// from `(cfg.seed, i)` only, so a shard group draws exactly the
-    /// values the sequential engine would for its instances and jittered
-    /// runs stay bit-identical at any shard count.
+    /// from `(cfg.seed, i)` only (see `per_instance_jitter`).
     jitter: Vec<SplitMix64>,
     migration: MigrationStream,
     trace_requests: Vec<hetis_workload::Request>,
@@ -338,11 +330,6 @@ pub struct Engine<'a, P: Policy> {
     /// sampler chains cannot keep *each other* alive until the drain
     /// deadline after the last request completes.
     sampling_pending: u32,
-    /// Events the sharded coordinator holds outside `events` (the
-    /// pending-arrival side channel). Counted by the liveness guard so
-    /// sampler chains see the same "work remains" answer the sequential
-    /// engine would; always 0 on the sequential path.
-    shard_external_pending: usize,
     // closed-loop actuation state (all inert unless `cfg.closed_loop`)
     /// When set, non-protected-class admissions are deferred back to the
     /// waiting queue (closed-loop throttle actuation).
@@ -352,16 +339,6 @@ pub struct Engine<'a, P: Policy> {
     pace_chunk_tokens: Option<u64>,
     /// Every applied control action, tick-stamped — `RunReport::control_log`.
     control_log: Vec<ControlRecord>,
-    /// Shard-window side-effect capture (`None` on the sequential path
-    /// and on the sharded coordinator's own engine; `Some` only on shard
-    /// group engines while a conservative window runs). Order-sensitive
-    /// side effects — telemetry taps, completions, module samples,
-    /// migrated-byte increments — are recorded here tagged with the
-    /// generating event's exact `(time, seq)` key instead of being
-    /// applied, and the coordinator replays them globally key-sorted at
-    /// the next barrier so f64 accumulation order and bus contents match
-    /// the sequential engine bit-for-bit (DESIGN.md §P).
-    capture: Option<shard::ShardCapture>,
 }
 
 /// Runs `policy` over `trace` on `cluster`/`model`; returns the report —
@@ -395,13 +372,9 @@ pub fn run_with_churn<P: Policy>(
     trace: &Trace,
     events: &[ClusterEvent],
 ) -> RunReport {
-    let shards = std::env::var("HETIS_SIM_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(cfg.sim_shards);
     let topo = policy.topology(cluster, model, &cfg);
     let mut engine = Engine::new_with_churn(policy, cluster, model, cfg, topo, trace, events);
-    engine.run_sharded(shards);
+    engine.run_to_completion();
     engine.into_report()
 }
 
@@ -550,11 +523,9 @@ impl<'a, P: Policy> Engine<'a, P> {
             shared_kv_bytes: 0,
             telemetry,
             sampling_pending,
-            shard_external_pending: 0,
             throttle_admission: false,
             pace_chunk_tokens: None,
             control_log: Vec::new(),
-            capture: None,
         };
         // Late joiners: a device whose first scheduled event is a Join is
         // absent at startup.
@@ -593,14 +564,6 @@ impl<'a, P: Policy> Engine<'a, P> {
             return false;
         }
         self.clock.advance_to(at);
-        self.dispatch_event(event);
-        true
-    }
-
-    /// Executes one already-popped event at the current clock (the body
-    /// of [`Engine::step`], shared with the sharded coordinator's
-    /// barrier path).
-    fn dispatch_event(&mut self, event: Event) {
         self.events_processed += 1;
         if matches!(event, Event::Sample | Event::TelemetryTick) {
             self.sampling_pending -= 1;
@@ -614,6 +577,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             Event::DrainDeadline(dev) => self.on_drain_deadline(dev),
             Event::TelemetryTick => self.on_telemetry_tick(),
         }
+        true
     }
 
     /// Publishes one flow event on the telemetry bus; a no-op when
@@ -622,40 +586,9 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// without touching the heap.
     #[inline]
     fn tap(&mut self, kind: FlowEventKind) {
-        let time = self.clock.now().as_secs();
-        if let Some(cap) = self.capture.as_mut() {
-            if cap.telemetry_on {
-                cap.push(shard::Captured::Flow(FlowEvent { time, kind }));
-            }
-            return;
-        }
         if let Some(bus) = self.telemetry.as_mut() {
+            let time = self.clock.now().as_secs();
             bus.publish(FlowEvent { time, kind });
-        }
-    }
-
-    /// Accumulates migrated KV bytes. `migrated_bytes` is an f64 sum whose
-    /// bit pattern is folded into the run digest, and float addition is not
-    /// associative — inside a shard window the increment is captured and
-    /// replayed at the barrier in global event order instead of being added
-    /// to a shard-local partial sum.
-    #[inline]
-    fn note_migrated(&mut self, bytes: f64) {
-        if let Some(cap) = self.capture.as_mut() {
-            cap.push(shard::Captured::Migrated(bytes));
-        } else {
-            self.migrated_bytes += bytes;
-        }
-    }
-
-    /// Records a Fig. 13 module sample; captured under sharding so the
-    /// series stays in global chronological order.
-    #[inline]
-    fn note_module_sample(&mut self, sample: ModuleSample) {
-        if let Some(cap) = self.capture.as_mut() {
-            cap.push(shard::Captured::Module(sample));
-        } else {
-            self.module_samples.push(sample);
         }
     }
 
@@ -880,41 +813,11 @@ impl<'a, P: Policy> Engine<'a, P> {
         // not see the arrival itself as resident load. Prefix affinity
         // wins over the policy: the warm KV only exists on the instance
         // that served the previous turn (the policy's routing cursor is
-        // not advanced for affinity-routed arrivals — mirrored by the
-        // sharded coordinator's `thin_arrival`).
-        let inst = match self.prefix_affinity(&req, |s, t| self.prefix.get(s, t)) {
+        // not advanced for affinity-routed arrivals).
+        let inst = match self.prefix_affinity(&req) {
             Some(inst) => inst,
             None => self.route_surviving(req, 0),
         };
-        self.admit_routed(req, inst);
-    }
-
-    /// The instance holding a warm prefix for `req`'s session, when
-    /// prefix reuse is on, the previous turn's entry exists (looked up
-    /// via `get` — the sharded coordinator probes across group caches)
-    /// and that instance can still serve. `None` falls through to
-    /// policy routing.
-    fn prefix_affinity<'g>(
-        &self,
-        req: &hetis_workload::Request,
-        get: impl Fn(u64, u32) -> Option<&'g crate::prefix::PrefixEntry>,
-    ) -> Option<usize> {
-        if !self.cfg.prefix_reuse {
-            return None;
-        }
-        let st = req.session?;
-        if st.turn == 0 {
-            return None;
-        }
-        let e = get(st.session, st.turn - 1)?;
-        (self.topo.instances[e.instance].role != InstanceRole::Down).then_some(e.instance)
-    }
-
-    /// Admission tail of an arrival, after routing picked `inst`. Split
-    /// out of [`Engine::on_arrival`] because the sharded coordinator
-    /// routes on its own engine (which sees every shard's request table)
-    /// and then admits on the shard that owns `inst`.
-    fn admit_routed(&mut self, req: hetis_workload::Request, inst: usize) {
         self.requests.insert(RunningRequest::new(req, inst));
         self.instances[inst].waiting.enqueue(slack_key(&req));
         self.tap(FlowEventKind::Arrival {
@@ -924,6 +827,21 @@ impl<'a, P: Policy> Engine<'a, P> {
             instance: inst as u32,
         });
         self.try_dispatch(inst);
+    }
+
+    /// The instance holding a warm prefix for `req`'s session, when
+    /// prefix reuse is on, the previous turn's entry exists and that
+    /// instance can still serve. `None` falls through to policy routing.
+    fn prefix_affinity(&self, req: &hetis_workload::Request) -> Option<usize> {
+        if !self.cfg.prefix_reuse {
+            return None;
+        }
+        let st = req.session?;
+        if st.turn == 0 {
+            return None;
+        }
+        let e = self.prefix.get(st.session, st.turn - 1)?;
+        (self.topo.instances[e.instance].role != InstanceRole::Down).then_some(e.instance)
     }
 
     /// Routes via the policy, overriding picks that land on a Down
@@ -1077,8 +995,7 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// counting them out keeps the two chains from treating each other
     /// as pending work and ticking on until the drain deadline.
     fn work_remains(&self) -> bool {
-        !self.requests.is_empty()
-            || self.events.len() + self.shard_external_pending > self.sampling_pending as usize
+        !self.requests.is_empty() || self.events.len() > self.sampling_pending as usize
     }
 
     // ------------------------------------------------------------- churn
@@ -1242,8 +1159,7 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// Prunes `dev` from every attention-worker list and downs instances
     /// whose primary TP group contains it. Cached prefixes are dropped
     /// wholesale: warm KV on a dead device is gone, and the reshaped
-    /// worker pools may invalidate any cached placement (deterministic —
-    /// deaths are barrier events in both execution modes).
+    /// worker pools may invalidate any cached placement.
     fn enforce_device_death(&mut self, dev: DeviceId) {
         self.prefix.clear();
         for inst in self.topo.instances.iter_mut() {
@@ -1454,8 +1370,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         }
         self.topo = new;
         // Reshaped worker pools can invalidate cached prefix placements;
-        // drop them wholesale (replans are barrier events in both
-        // execution modes, so this is deterministic at any shard count).
+        // drop them wholesale.
         self.prefix.clear();
     }
 
@@ -1644,9 +1559,7 @@ impl<'a, P: Policy> Engine<'a, P> {
     ///
     /// The probe runs the lazy pressure sweep first: cached prefixes
     /// live in *free* memory, so a device whose free pool shrank below
-    /// its cached total has physically overwritten the oldest entries
-    /// (per-device scoping keeps shard groups — device-disjoint by
-    /// construction — bit-identical to the sequential sweep).
+    /// its cached total has physically overwritten the oldest entries.
     fn probe_prefix(&mut self, rid: RequestId, inst: usize) -> Option<((u64, u32), u32)> {
         if !self.cfg.prefix_reuse {
             return None;
@@ -2207,7 +2120,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             dense_tokens,
         );
 
-        self.note_module_sample(ModuleSample {
+        self.module_samples.push(ModuleSample {
             time: self.clock.now().as_secs(),
             mlp: max_mlp * n_stages as f64,
             attn: max_attn * n_stages as f64,
@@ -2360,7 +2273,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         // Fused iterations ARE this mode's decode iterations — record the
         // Fig. 13 module sample (the chunk's share of MLP time is real
         // work the decode tokens co-schedule with).
-        self.note_module_sample(ModuleSample {
+        self.module_samples.push(ModuleSample {
             time: self.clock.now().as_secs(),
             mlp: max_mlp * n_stages as f64,
             attn: max_attn * n_stages as f64,
@@ -2749,7 +2662,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         r.migration_epoch += 1;
         let epoch = r.migration_epoch;
         self.migrations += 1;
-        self.note_migrated(moved_bytes);
+        self.migrated_bytes += moved_bytes;
         self.tap(FlowEventKind::Redispatch {
             req: rid,
             instance: inst as u32,
@@ -2870,7 +2783,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             .migration
             .schedule(src_anchor.0, dst_anchor.0, link, src_bytes, now);
         self.migrations += 1;
-        self.note_migrated(src_bytes);
+        self.migrated_bytes += src_bytes;
         let r = self.requests.get_mut(&rid).expect("live");
         r.phase = Phase::Migrating;
         r.migration_sources = vec![src_anchor];
@@ -2922,7 +2835,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             r.migration_epoch += 1;
             let epoch = r.migration_epoch;
             self.migrations += 1;
-            self.note_migrated(scattered);
+            self.migrated_bytes += scattered;
             self.events.schedule(
                 SimTime::from_secs(finish),
                 Event::MigrationDone { req: rid, epoch },
@@ -2944,9 +2857,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         self.note_kv_peak();
         // The flow record wants the resident KV footprint, which is gone
         // after the frees below — sum it first (enabled runs only).
-        let telemetry_on =
-            self.telemetry.is_some() || self.capture.as_ref().is_some_and(|c| c.telemetry_on);
-        let kv_bytes = if telemetry_on {
+        let kv_bytes = if self.telemetry.is_some() {
             (0..self.kv.len())
                 .map(|d| self.kv.device(DeviceId(d as u32)).request_bytes(rid))
                 .sum()
@@ -3008,37 +2919,25 @@ impl<'a, P: Policy> Engine<'a, P> {
             class: r.req.class,
             tenant: r.req.tenant,
         };
-        let completion = FlowCompletion {
-            req: rid,
-            class: rec.class,
-            tenant: rec.tenant,
-            instance: inst as u32,
-            arrival: rec.arrival,
-            first_token: rec.first_token,
-            completion: rec.completion,
-            input_len: rec.input_len,
-            output_len: rec.output_len,
-            preemptions: rec.preemptions,
-            redispatches: rec.redispatches,
-            kv_bytes,
-            prefix_hit_tokens: r.prefix_hit_tokens,
-            prefix_shared_bytes: r.prefix_shared_bytes,
-        };
-        if let Some(cap) = self.capture.as_mut() {
-            // Shard window: both the flow record and the completed-request
-            // row are order-sensitive (the digest folds `completed` in push
-            // order), so they are replayed at the next barrier merge in
-            // global event order rather than applied here.
-            if cap.telemetry_on {
-                cap.push(shard::Captured::Completion(completion));
-            }
-            cap.push(shard::Captured::Completed(rec));
-        } else {
-            if let Some(bus) = self.telemetry.as_mut() {
-                bus.complete(&completion);
-            }
-            self.completed.push(rec);
+        if let Some(bus) = self.telemetry.as_mut() {
+            bus.complete(&FlowCompletion {
+                req: rid,
+                class: rec.class,
+                tenant: rec.tenant,
+                instance: inst as u32,
+                arrival: rec.arrival,
+                first_token: rec.first_token,
+                completion: rec.completion,
+                input_len: rec.input_len,
+                output_len: rec.output_len,
+                preemptions: rec.preemptions,
+                redispatches: rec.redispatches,
+                kv_bytes,
+                prefix_hit_tokens: r.prefix_hit_tokens,
+                prefix_shared_bytes: r.prefix_shared_bytes,
+            });
         }
+        self.completed.push(rec);
     }
 
     /// Debug check that `rid` can leave the table without leaving a

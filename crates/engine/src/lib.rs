@@ -53,9 +53,7 @@ pub use control::{ClosedLoopConfig, ControlAction, ControlRecord, ControlRespons
 pub use engine::{run, run_with_churn, Engine};
 pub use memory::{DeviceKv, KvAllocError, KvState};
 pub use metrics::{ClassStats, CompletedRequest, CostReport, ModuleSample, RunReport, TraceSample};
-pub use policy::{
-    Handoff, KvView, Policy, PolicyCtx, PrefixView, RedispatchOp, RequestsView, VictimAction,
-};
+pub use policy::{Handoff, Policy, PolicyCtx, RedispatchOp, VictimAction};
 pub use prefix::{PrefixCache, PrefixEntry};
 pub use request::{Phase, RequestTable, RunningRequest};
 pub use stage::{

@@ -16,9 +16,7 @@
 //! cached prefixes, and the invariant "a device's cached bytes never
 //! exceed its free bytes" is enforced lazily at probe time by evicting
 //! the oldest entries touching the pressured device — registration
-//! order `(SimTime, RequestId)` is a deterministic total order, and the
-//! per-device scoping keeps shard groups (device-disjoint by
-//! construction) bit-identical to the sequential engine.
+//! order `(SimTime, RequestId)` is a deterministic total order.
 //!
 //! A hit pins the follow-up turn to the cached placement: the warm KV
 //! blocks sit on specific devices, so the head groups that attend to
@@ -105,11 +103,9 @@ impl PrefixCache {
     /// previous turn (a strict prefix of this one — keeping both would
     /// double-count bytes the new entry already covers) **only when the
     /// predecessor lives on the same instance**. A predecessor served by
-    /// another instance is left to pressure eviction: shard groups hold
-    /// device-disjoint instance subsets, so a cross-instance predecessor
-    /// may sit in another group's cache where this registration cannot
-    /// see it — superseding it here (but not there) would break the
-    /// sharded runner's bit-identity with the sequential engine.
+    /// another instance is left to pressure eviction: its bytes sit on
+    /// that instance's devices, which this turn's registration does not
+    /// cover.
     pub fn insert(&mut self, session: u64, turn: u32, entry: PrefixEntry) {
         if turn > 0
             && self
@@ -162,29 +158,6 @@ impl PrefixCache {
         self.entries.clear();
         self.cached.iter_mut().for_each(|b| *b = 0);
     }
-
-    /// Drains every `(key, entry)` pair, leaving the cache empty — the
-    /// shard split/absorb hand-over.
-    pub fn drain_entries(&mut self) -> Vec<((u64, u32), PrefixEntry)> {
-        self.cached.iter_mut().for_each(|b| *b = 0);
-        self.entries.drain().collect()
-    }
-
-    /// Re-inserts a drained entry verbatim (no predecessor superseding —
-    /// split/absorb must move entries without re-running registration
-    /// semantics).
-    pub fn restore(&mut self, key: (u64, u32), entry: PrefixEntry) {
-        for &(d, b) in &entry.bytes {
-            self.cached[d.index()] += b;
-        }
-        self.entries.insert(key, entry);
-    }
-
-    /// Iterates all entries (arbitrary order — callers must not depend
-    /// on it; used for invariant checks).
-    pub fn iter(&self) -> impl Iterator<Item = (&(u64, u32), &PrefixEntry)> {
-        self.entries.iter()
-    }
 }
 
 #[cfg(test)]
@@ -222,8 +195,8 @@ mod tests {
     #[test]
     fn cross_instance_predecessor_is_left_to_eviction() {
         // A session that hopped instances between turns: the new turn's
-        // registration must NOT supersede the other instance's entry (a
-        // shard group could not see it), only pressure eviction may.
+        // registration must NOT supersede the other instance's entry;
+        // only pressure eviction may.
         let mut c = PrefixCache::new(2);
         c.insert(7, 0, entry(100, &[(0, 1000)], 1.0, 1)); // instance 0
         let mut hopped = entry(250, &[(1, 2500)], 2.0, 2);
@@ -269,24 +242,6 @@ mod tests {
         c.insert(1, 0, entry(10, &[(0, 100)], 1.0, 1));
         assert_eq!(c.enforce_pressure(DeviceId(0), 100), 0);
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn drain_and_restore_round_trip() {
-        let mut c = PrefixCache::new(2);
-        c.insert(1, 3, entry(10, &[(0, 100)], 1.0, 1));
-        c.insert(2, 5, entry(20, &[(1, 200)], 2.0, 2));
-        let drained = c.drain_entries();
-        assert_eq!(drained.len(), 2);
-        assert!(c.is_empty());
-        assert_eq!(c.cached_bytes(DeviceId(0)), 0);
-        let mut other = PrefixCache::new(2);
-        for (k, e) in drained {
-            other.restore(k, e);
-        }
-        assert_eq!(other.len(), 2);
-        assert_eq!(other.cached_bytes(DeviceId(1)), 200);
-        assert_eq!(other.get(1, 3).unwrap().tokens, 10);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!    and warm + cold tokens telescope to each prompt's length.
 //! 3. **Benefit** — on a session trace, reuse strictly reduces total
 //!    prefill tokens and strictly improves non-first-turn TTFT.
-//! 4. **Shard invariance** — the reuse-on digest is bit-identical for
-//!    `sim_shards` ∈ {1, 2, 4} (the per-device cache partitions cleanly
-//!    across device-disjoint shard groups).
+//! 4. **Determinism** — same-seed reuse-on reruns reproduce the digest
+//!    and every reuse counter.
 
 use std::collections::HashMap;
 
@@ -25,8 +24,7 @@ use hetis_model::llama_13b;
 use hetis_parallel::StageConfig;
 use hetis_workload::{multi_turn_trace, DatasetKind, SessionWorkload, SloClass, Trace};
 
-/// Two device-disjoint TP-2 instances over the four A100s, so the shard
-/// planner has two components to split.
+/// Two device-disjoint TP-2 instances over the four A100s.
 fn dp2_topo() -> Topology {
     let stage = |a: u32, b: u32| {
         StageTopo::plain(StageConfig {
@@ -62,14 +60,13 @@ fn session_trace(seed: u64) -> Trace {
     )
 }
 
-fn run_sessions(reuse: bool, shards: usize, seed: u64) -> RunReport {
+fn run_sessions(reuse: bool, seed: u64) -> RunReport {
     let cluster = paper_cluster();
     let model = llama_13b();
     let trace = session_trace(seed);
     let cfg = EngineConfig {
         prefix_reuse: reuse,
         prefill_chunk_tokens: Some(512),
-        sim_shards: shards,
         drain_timeout: 600.0,
         ..EngineConfig::default()
     };
@@ -86,7 +83,7 @@ fn run_sessions(reuse: bool, shards: usize, seed: u64) -> RunReport {
 /// hits, zero warm tokens, zero shared bytes.
 #[test]
 fn reuse_off_never_probes() {
-    let r = run_sessions(false, 1, 7);
+    let r = run_sessions(false, 7);
     assert!(r.completed.len() > 50, "trace must mostly complete");
     assert_eq!(
         (
@@ -105,8 +102,8 @@ fn reuse_off_never_probes() {
 /// requests complete with no lost tokens.
 #[test]
 fn reuse_on_skips_warm_prefixes_conserving_completions() {
-    let off = run_sessions(false, 1, 7);
-    let on = run_sessions(true, 1, 7);
+    let off = run_sessions(false, 7);
+    let on = run_sessions(true, 7);
     assert!(on.prefix_probes > 0, "follow-up turns must probe");
     assert!(on.prefix_hits > 0, "think gaps leave time for hits");
     assert!(on.prefix_hits <= on.prefix_probes);
@@ -136,8 +133,8 @@ fn reuse_on_skips_warm_prefixes_conserving_completions() {
 /// first turns' completions.
 #[test]
 fn reuse_improves_follow_up_turn_ttft() {
-    let off = run_sessions(false, 1, 11);
-    let on = run_sessions(true, 1, 11);
+    let off = run_sessions(false, 11);
+    let on = run_sessions(true, 11);
     assert!(on.prefix_hits > 0);
     // Map request ids to turns via the (deterministic) trace.
     let trace = session_trace(11);
@@ -164,29 +161,18 @@ fn reuse_improves_follow_up_turn_ttft() {
     assert!(on.peak_kv_reserved_bytes <= off.peak_kv_reserved_bytes);
 }
 
-/// Reuse-on runs are deterministic and bit-identical across shard
-/// counts: the cache partitions per device-disjoint group and every
-/// registration/eviction replays in simulated-time order.
+/// Reuse-on runs are deterministic: every registration and eviction
+/// replays in simulated-time order, so a same-seed rerun reproduces the
+/// digest and the reuse counters.
 #[test]
-fn reuse_on_digest_is_shard_invariant() {
-    let seq = run_sessions(true, 1, 7);
-    assert!(seq.prefix_hits > 0, "shard test must exercise the cache");
-    assert_eq!(
-        seq.digest(),
-        run_sessions(true, 1, 7).digest(),
-        "determinism"
-    );
-    for shards in [2, 4] {
-        let sharded = run_sessions(true, shards, 7);
-        assert_eq!(
-            seq.digest(),
-            sharded.digest(),
-            "sim_shards={shards} diverged from the sequential engine"
-        );
-        assert_eq!(seq.prefix_hits, sharded.prefix_hits);
-        assert_eq!(seq.prefix_hit_tokens, sharded.prefix_hit_tokens);
-        assert_eq!(seq.shared_kv_bytes, sharded.shared_kv_bytes);
-    }
+fn reuse_on_digest_is_deterministic() {
+    let first = run_sessions(true, 7);
+    assert!(first.prefix_hits > 0, "the rerun must exercise the cache");
+    let again = run_sessions(true, 7);
+    assert_eq!(first.digest(), again.digest(), "determinism");
+    assert_eq!(first.prefix_hits, again.prefix_hits);
+    assert_eq!(first.prefix_hit_tokens, again.prefix_hit_tokens);
+    assert_eq!(first.shared_kv_bytes, again.shared_kv_bytes);
 }
 
 /// Single-turn traffic never probes even with reuse on: turn 0 has no

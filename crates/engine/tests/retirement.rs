@@ -45,9 +45,9 @@ fn trace_of(ids: &[u64]) -> Trace {
     Trace::from_requests(reqs, DatasetKind::ShareGpt)
 }
 
-/// Runs `ids` on `shards` shard groups and checks the retirement
-/// invariants; returns the completed ids in completion order.
-fn run_and_check(ids: &[u64], shards: usize) -> Vec<u64> {
+/// Runs `ids` to completion and checks the retirement invariants;
+/// returns the completed ids in completion order.
+fn run_and_check(ids: &[u64]) -> Vec<u64> {
     let cluster = paper_cluster();
     let model = llama_13b();
     let topo = two_instance_topo();
@@ -60,7 +60,7 @@ fn run_and_check(ids: &[u64], shards: usize) -> Vec<u64> {
         topo,
         &trace,
     );
-    engine.run_sharded(shards);
+    engine.run_to_completion();
     assert!(
         engine.phase_summary().iter().all(|m| m.is_empty()),
         "live requests left after the run: {:?}",
@@ -84,16 +84,16 @@ fn run_and_check(ids: &[u64], shards: usize) -> Vec<u64> {
 
 #[test]
 fn sparse_unsorted_ids_run_to_completion_and_retire() {
-    run_and_check(&[7, 3, 40], 1);
+    run_and_check(&[7, 3, 40]);
 }
 
 #[test]
-fn retirement_holds_under_load_and_sharding() {
+fn retirement_holds_under_load_across_reruns() {
     // Enough overlapping requests that retirements swap-remove from the
     // middle of the table while others still decode.
     let ids: Vec<u64> = (0..30).map(|i| (i * 37) % 101 + 2 * i).collect();
-    let sequential = run_and_check(&ids, 1);
-    assert_eq!(run_and_check(&ids, 2), sequential);
+    let first = run_and_check(&ids);
+    assert_eq!(run_and_check(&ids), first, "same completion order");
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //!
 //! 1. **Digest neutrality** — enabling telemetry (any ring size, any
 //!    window) must not perturb the simulation: behavior digests are
-//!    bit-identical with the bus on and off. The scenario gate pins the
-//!    same property across both `HETIS_DISPATCH_SOLVER` modes.
+//!    bit-identical with the bus on and off, and so is every report
+//!    field outside telemetry's own output. The scenario gate pins the
+//!    digest across both `HETIS_DISPATCH_SOLVER` modes.
 //! 2. **Flow-record completeness** — one JSONL flow record per completed
 //!    request, every line valid JSON, snapshot completion counts equal to
 //!    the report's.
@@ -60,21 +61,111 @@ fn run_with(telemetry: Option<TelemetryConfig>, seed: u64, rate: f64) -> RunRepo
     )
 }
 
+/// Every `RunReport` field except the exempt ones below, one
+/// `(name, rendering)` pair each. Top-level f64s render as their bit
+/// pattern; nested rows render through `Debug`, whose f64 output is the
+/// shortest string that round-trips, so two non-NaN floats render alike
+/// only when their bits match. The destructuring names every field, so
+/// a new report field fails to compile here until it is classified.
+fn report_fields(r: &RunReport) -> Vec<(&'static str, String)> {
+    let RunReport {
+        policy,
+        completed,
+        unfinished,
+        module_samples,
+        trace,
+        duration,
+        total_kv_pool_bytes,
+        usable_kv_bytes,
+        preemptions,
+        migrations,
+        migrated_bytes,
+        replans,
+        lost_tokens,
+        churn_evictions,
+        prefill_tokens,
+        prefill_iterations,
+        max_prefill_iter_tokens,
+        // Exempt: every `TelemetryTick` is an engine event.
+        events_processed: _,
+        peak_kv_reserved_bytes,
+        fused_iterations,
+        kv_growths,
+        kv_grow_failures,
+        prefix_probes,
+        prefix_hits,
+        prefix_hit_tokens,
+        shared_kv_bytes,
+        // Exempt: telemetry's own ring-wrap counter.
+        telemetry_dropped: _,
+        // Exempt: telemetry's own end-of-run snapshot.
+        telemetry: _,
+        control_log,
+        cost,
+    } = r;
+    vec![
+        ("policy", format!("{policy:?}")),
+        ("completed", format!("{completed:?}")),
+        ("unfinished", unfinished.to_string()),
+        ("module_samples", format!("{module_samples:?}")),
+        ("trace", format!("{trace:?}")),
+        ("duration", format!("{:#x}", duration.to_bits())),
+        ("total_kv_pool_bytes", total_kv_pool_bytes.to_string()),
+        ("usable_kv_bytes", usable_kv_bytes.to_string()),
+        ("preemptions", preemptions.to_string()),
+        ("migrations", migrations.to_string()),
+        ("migrated_bytes", format!("{:#x}", migrated_bytes.to_bits())),
+        ("replans", format!("{replans:?}")),
+        ("lost_tokens", lost_tokens.to_string()),
+        ("churn_evictions", churn_evictions.to_string()),
+        ("prefill_tokens", prefill_tokens.to_string()),
+        ("prefill_iterations", prefill_iterations.to_string()),
+        (
+            "max_prefill_iter_tokens",
+            max_prefill_iter_tokens.to_string(),
+        ),
+        ("peak_kv_reserved_bytes", peak_kv_reserved_bytes.to_string()),
+        ("fused_iterations", fused_iterations.to_string()),
+        ("kv_growths", kv_growths.to_string()),
+        ("kv_grow_failures", kv_grow_failures.to_string()),
+        ("prefix_probes", prefix_probes.to_string()),
+        ("prefix_hits", prefix_hits.to_string()),
+        ("prefix_hit_tokens", prefix_hit_tokens.to_string()),
+        ("shared_kv_bytes", shared_kv_bytes.to_string()),
+        ("control_log", format!("{control_log:?}")),
+        ("cost", format!("{cost:?}")),
+    ]
+}
+
+/// Asserts that `on` matches `off` in the digest and in every
+/// non-exempt report field.
+fn assert_same_run(off: &RunReport, on: &RunReport, label: &str) {
+    assert_eq!(
+        off.digest(),
+        on.digest(),
+        "{label}: telemetry perturbed the digest"
+    );
+    for ((name, a), (_, b)) in report_fields(off).into_iter().zip(report_fields(on)) {
+        assert!(a == b, "{label}: telemetry changed report field `{name}`");
+    }
+}
+
 /// The zero-cost gating contract, measured: default bus, full-run bus and
-/// a deliberately wrapping 8-slot ring all reproduce the disabled run's
-/// digest exactly.
+/// a deliberately wrapping 8-slot ring all reproduce the disabled run
+/// exactly — the digest and every report field telemetry does not own.
 #[test]
 fn telemetry_is_digest_neutral() {
     let off = run_with(None, 42, 5.0);
     assert!(off.completed.len() > 10, "trace too light to mean anything");
+    assert!(!off.module_samples.is_empty() && !off.trace.is_empty());
     assert_eq!(off.telemetry_dropped, 0);
     assert!(off.telemetry.is_none());
 
     let on = run_with(Some(TelemetryConfig::default()), 42, 5.0);
-    assert_eq!(off.digest(), on.digest(), "telemetry perturbed the run");
+    assert_same_run(&off, &on, "default bus");
 
     let full = run_with(Some(TelemetryConfig::full_run()), 42, 5.0);
-    assert_eq!(off.digest(), full.digest());
+    assert_same_run(&off, &full, "full-run bus");
 
     let tiny = run_with(
         Some(TelemetryConfig {
@@ -84,7 +175,7 @@ fn telemetry_is_digest_neutral() {
         42,
         5.0,
     );
-    assert_eq!(off.digest(), tiny.digest());
+    assert_same_run(&off, &tiny, "8-slot ring");
 }
 
 /// Satellite: ring-wrap drops surface in the report without touching the

@@ -1,72 +1,14 @@
 //! Minimal offline shim for the subset of `rayon` this workspace uses:
-//! `slice.par_iter().map(f).collect::<Vec<_>>()`, [`join`], and
-//! [`scope`].
+//! `slice.par_iter().map(f).collect::<Vec<_>>()`.
 //!
 //! Unlike a sequential fallback, `collect` here really fans the map out
 //! across `std::thread::scope` workers (one chunk per available core), so
 //! the Fig. 15b multi-core block-indexing experiment still measures a real
-//! parallel speed-up. `join`/`scope` likewise run their closures on real
-//! OS threads (they back the engine's sharded simulation windows), with
-//! rayon's contracts: `join` returns both results in argument order, and
-//! a panic in any spawned closure propagates to the caller.
+//! parallel speed-up.
 
 /// Re-exported traits, mirroring `rayon::prelude::*`.
 pub mod prelude {
     pub use crate::{IntoParallelRefIterator, ParMap, ParSliceIter};
-}
-
-/// Runs `a` and `b` potentially in parallel and returns both results in
-/// argument order, mirroring `rayon::join`. The shim runs `b` on a scoped
-/// OS thread while the calling thread evaluates `a`; a panic in either
-/// closure resurfaces on the caller.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        let rb = match hb.join() {
-            Ok(rb) => rb,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        (ra, rb)
-    })
-}
-
-/// Scope handle mirroring `rayon::Scope`: closures spawned on it may
-/// borrow from the enclosing stack frame (lifetime `'scope`).
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawns `f` onto the scope; the closure runs on its own OS thread
-    /// and may borrow anything that outlives the scope. Unlike rayon the
-    /// shim's closure takes no `&Scope` argument re-borrow (nested
-    /// spawns go through the captured scope instead), which is the only
-    /// shape this workspace uses.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce() + Send + 'scope,
-    {
-        self.inner.spawn(f);
-    }
-}
-
-/// Structured fork/join mirroring `rayon::scope`: every closure spawned
-/// inside runs to completion before `scope` returns. Panics in spawned
-/// closures propagate to the caller (via `std::thread::scope`'s implicit
-/// join), and the single-core degenerate case simply runs each spawn on
-/// its own (briefly live) thread.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-{
-    std::thread::scope(|s| f(&Scope { inner: s }))
 }
 
 /// `.par_iter()` entry point for slice-like containers.
@@ -176,79 +118,5 @@ mod tests {
         let one = [41u32];
         let out: Vec<u32> = one.par_iter().map(|&x| x + 1).collect();
         assert_eq!(out, vec![42]);
-    }
-
-    #[test]
-    fn join_returns_results_in_argument_order() {
-        // Make the first closure slower so the spawned side finishes first;
-        // the results must still come back as (a, b).
-        let (a, b) = crate::join(
-            || {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                "first"
-            },
-            || "second",
-        );
-        assert_eq!((a, b), ("first", "second"));
-
-        // Borrowing from the caller's stack works on both arms.
-        let xs = [1u64, 2, 3, 4];
-        let (lo, hi) = crate::join(
-            || xs[..2].iter().sum::<u64>(),
-            || xs[2..].iter().sum::<u64>(),
-        );
-        assert_eq!((lo, hi), (3, 7));
-    }
-
-    #[test]
-    fn join_propagates_panic_from_spawned_side() {
-        let caught = std::panic::catch_unwind(|| {
-            crate::join(|| 1u32, || -> u32 { panic!("boom-b") });
-        });
-        assert!(caught.is_err());
-    }
-
-    #[test]
-    fn scope_joins_all_spawns_and_collects_borrowed_results() {
-        let mut slots = vec![0u64; 8];
-        crate::scope(|s| {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                s.spawn(move || {
-                    *slot = (i as u64 + 1) * 10;
-                });
-            }
-        });
-        // Every spawn completed before `scope` returned.
-        assert_eq!(slots, vec![10, 20, 30, 40, 50, 60, 70, 80]);
-    }
-
-    #[test]
-    fn scope_propagates_spawn_panic() {
-        let caught = std::panic::catch_unwind(|| {
-            crate::scope(|s| {
-                s.spawn(|| panic!("boom-scope"));
-            });
-        });
-        assert!(caught.is_err());
-    }
-
-    #[test]
-    fn single_core_degenerate_case() {
-        // With one spawn (the degenerate single-worker shape), join/scope
-        // must still behave exactly like sequential execution.
-        let (only, unit) = crate::join(|| 7u32 * 6, || ());
-        assert_eq!((only, unit), (42, ()));
-
-        let mut out = 0u32;
-        crate::scope(|s| {
-            s.spawn(|| {
-                out = 42;
-            });
-        });
-        assert_eq!(out, 42);
-
-        // And an empty scope is a no-op that still returns its value.
-        let r = crate::scope(|_| "empty");
-        assert_eq!(r, "empty");
     }
 }

@@ -10,13 +10,13 @@ use std::collections::BinaryHeap;
 /// scheduled at the same instant, giving stable FIFO semantics and making
 /// whole simulations deterministic.
 #[derive(Debug, Clone)]
-pub struct ScheduledEvent<E> {
+struct ScheduledEvent<E> {
     /// When the event fires.
-    pub at: SimTime,
+    at: SimTime,
     /// Monotonic insertion sequence, used for FIFO tie-breaking.
-    pub seq: u64,
+    seq: u64,
     /// The event payload.
-    pub event: E,
+    event: E,
 }
 
 impl<E> PartialEq for ScheduledEvent<E> {
@@ -82,61 +82,9 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|se| (se.at, se.event))
     }
 
-    /// Removes and returns the earliest event with its full `(time, seq)`
-    /// ordering key intact. Used by the sharded runner, which merges events
-    /// from several queues in global `(time, seq)` order.
-    pub fn pop_scheduled(&mut self) -> Option<ScheduledEvent<E>> {
-        self.heap.pop()
-    }
-
-    /// Removes the earliest event only when its `(time, seq)` key is
-    /// strictly below `key`. This is the conservative-window primitive: a
-    /// shard may safely process everything ordered before the next barrier
-    /// event's exact key without reordering against it.
-    pub fn pop_before(&mut self, key: (SimTime, u64)) -> Option<ScheduledEvent<E>> {
-        match self.heap.peek() {
-            Some(se) if (se.at, se.seq) < key => self.heap.pop(),
-            _ => None,
-        }
-    }
-
     /// Time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|se| se.at)
-    }
-
-    /// Full `(time, seq)` ordering key of the earliest pending event.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|se| (se.at, se.seq))
-    }
-
-    /// Re-inserts an event that already carries a sequence number (moving
-    /// events between shard queues during split/merge). The insertion
-    /// counter is raised past `se.seq` so later `schedule` calls still
-    /// order after every pre-existing event.
-    pub fn push_scheduled(&mut self, se: ScheduledEvent<E>) {
-        self.next_seq = self.next_seq.max(se.seq + 1);
-        self.heap.push(se);
-    }
-
-    /// Raises the insertion counter to at least `floor`, so events scheduled
-    /// here order after any event numbered below `floor` elsewhere.
-    pub fn raise_seq_floor(&mut self, floor: u64) {
-        self.next_seq = self.next_seq.max(floor);
-    }
-
-    /// The sequence number the next `schedule` call will assign.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Drains every pending event in `(time, seq)` order.
-    pub fn drain_sorted(&mut self) -> Vec<ScheduledEvent<E>> {
-        // `Ord` on `ScheduledEvent` is inverted for the max-heap, so the
-        // ascending `into_sorted_vec` yields latest-first; reverse it.
-        let mut v = std::mem::take(&mut self.heap).into_sorted_vec();
-        v.reverse();
-        v
     }
 
     /// Number of pending events.
@@ -197,93 +145,6 @@ mod tests {
         assert_eq!(q.peek_time().unwrap().as_secs(), 4.0);
         q.clear();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_before_respects_exact_key() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1.0);
-        q.schedule(t, 'a'); // seq 0
-        q.schedule(t, 'b'); // seq 1
-        q.schedule(SimTime::from_secs(2.0), 'c'); // seq 2
-
-        // Strictly-below: the event at exactly (1.0, seq 1) must NOT pop
-        // against the key (1.0, 1).
-        let se = q.pop_before((t, 1)).expect("seq 0 is below the key");
-        assert_eq!((se.event, se.seq), ('a', 0));
-        assert!(q.pop_before((t, 1)).is_none());
-
-        // A later key releases it.
-        let se = q.pop_before((SimTime::from_secs(1.5), 0)).unwrap();
-        assert_eq!((se.event, se.seq), ('b', 1));
-        assert!(q.pop_before((SimTime::from_secs(2.0), 2)).is_none());
-    }
-
-    #[test]
-    fn split_merge_round_trip_is_identity() {
-        // Distribute events across two queues preserving seqs, then merge
-        // them back: the pop order must equal the original queue's.
-        let mut q = EventQueue::new();
-        let times = [3.0, 1.0, 1.0, 2.0, 1.0, 3.0, 2.0];
-        for (i, &s) in times.iter().enumerate() {
-            q.schedule(SimTime::from_secs(s), i);
-        }
-        let reference: Vec<(u64, usize)> = {
-            let mut c = q.clone();
-            std::iter::from_fn(|| c.pop_scheduled().map(|se| (se.seq, se.event))).collect()
-        };
-
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
-        for se in q.drain_sorted() {
-            if se.event % 2 == 0 {
-                a.push_scheduled(se);
-            } else {
-                b.push_scheduled(se);
-            }
-        }
-        assert!(q.is_empty());
-        // Counters in both halves moved past every distributed seq.
-        assert_eq!(a.next_seq(), 7);
-        assert_eq!(b.next_seq(), 6);
-
-        let mut merged = EventQueue::new();
-        for se in a.drain_sorted().into_iter().chain(b.drain_sorted()) {
-            merged.push_scheduled(se);
-        }
-        let round: Vec<(u64, usize)> =
-            std::iter::from_fn(|| merged.pop_scheduled().map(|se| (se.seq, se.event))).collect();
-        assert_eq!(round, reference);
-    }
-
-    #[test]
-    fn seq_floor_orders_new_events_after_it() {
-        let mut q = EventQueue::new();
-        q.raise_seq_floor(100);
-        assert_eq!(q.next_seq(), 100);
-        let t = SimTime::from_secs(1.0);
-        q.schedule(t, 'x'); // seq 100
-        q.push_scheduled(ScheduledEvent {
-            at: t,
-            seq: 5,
-            event: 'w',
-        });
-        // Lower floors never decrease the counter.
-        q.raise_seq_floor(10);
-        assert_eq!(q.next_seq(), 101);
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!['w', 'x']);
-    }
-
-    #[test]
-    fn peek_key_matches_pop() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(2.0), 'b');
-        q.schedule(SimTime::from_secs(1.0), 'a');
-        let key = q.peek_key().unwrap();
-        let se = q.pop_scheduled().unwrap();
-        assert_eq!(key, (se.at, se.seq));
-        assert_eq!(se.event, 'a');
     }
 
     #[test]

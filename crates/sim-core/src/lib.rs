@@ -22,7 +22,7 @@ pub mod rng;
 pub mod stats;
 
 pub use clock::{Clock, SimTime};
-pub use events::{EventQueue, ScheduledEvent};
+pub use events::EventQueue;
 pub use queue::FifoQueue;
 pub use rng::SplitMix64;
 pub use stats::{percentile, OnlineStats, Summary};

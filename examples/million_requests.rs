@@ -1,23 +1,16 @@
-//! Scale demo: one million requests through the sharded simulation core.
+//! Scale demo: one million requests through the simulation engine.
 //!
 //! Serves a synthetic million-request chat trace on a data-parallel
-//! Llama-13B layout (two TP-2 A100 instances — two device-disjoint
-//! components, so the conservative-window coordinator can actually
-//! shard) and prints end-to-end simulation throughput plus the behavior
-//! digest, which is bit-identical for ANY shard count by construction.
+//! Llama-13B layout (two TP-2 A100 instances) and prints end-to-end
+//! simulation throughput plus the behavior digest. Finished requests
+//! leave the engine's live table at completion, so per-event work
+//! stays proportional to the requests in flight, not to the trace.
 //!
 //! ```bash
-//! # sharded (default: 2 shards, one per serving instance)
 //! cargo run --release --example million_requests
-//! # explicit shard count (1 = the plain sequential engine)
-//! HETIS_SIM_SHARDS=1 cargo run --release --example million_requests
 //! # smaller dry run
 //! HETIS_N_REQUESTS=100000 cargo run --release --example million_requests
 //! ```
-//!
-//! On a single-core container the sharded run is *slower* than
-//! sequential (real threads, barrier churn, no parallel payoff) — the
-//! point there is the identical digest; the speedup needs cores.
 
 use hetis::cluster::cluster::paper_cluster;
 use hetis::cluster::DeviceId;
@@ -32,10 +25,6 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(1_000_000);
-    let shards: usize = std::env::var("HETIS_SIM_SHARDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2);
 
     // Short chat turns, paced below what the two instances sustain
     // (~116 req/s measured for this mix), so queues stay shallow and the
@@ -57,8 +46,7 @@ fn main() {
         .collect();
     let trace = Trace::from_requests(requests, DatasetKind::ShareGpt);
 
-    // Two TP-2 instances over the four A100s: device-disjoint, so the
-    // shard planner gets two components to spread over threads.
+    // Two TP-2 instances over the four A100s.
     let stage = |a: u32, b: u32| {
         StageTopo::plain(StageConfig {
             devices: vec![DeviceId(a), DeviceId(b)],
@@ -81,15 +69,11 @@ fn main() {
     let cluster = paper_cluster();
     let model = llama_13b();
     let cfg = EngineConfig {
-        sim_shards: shards,
         drain_timeout: 300.0,
         ..EngineConfig::default()
     };
 
-    println!(
-        "serving {n} requests over {horizon:.0} simulated seconds on {} shards...",
-        shards
-    );
+    println!("serving {n} requests over {horizon:.0} simulated seconds...");
     let wall_start = std::time::Instant::now();
     let report = run(
         StaticPolicy::new("dp2-a100", topo),
@@ -113,7 +97,6 @@ fn main() {
         report.duration / wall
     );
     println!("behavior digest  {:016x}", report.digest());
-    println!("(identical for any HETIS_SIM_SHARDS value, including 1)");
 
     assert_eq!(
         report.completed.len() as u64,
