@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the hot scheduling paths: the dispatch
 //! solvers (water-fill fast path vs the simplex oracle, at the paper's
 //! 6-device × 4-request shape and a 12×16 stress shape), the ideal-time
-//! relaxation, head rounding, fetch-index assembly and migration
-//! planning.
+//! relaxation and the closed-form balance check that usually replaces
+//! it, head rounding, fetch-index assembly and migration planning.
 //!
 //! `BENCH_4.json` at the repository root records the old-vs-new numbers
 //! for the dispatch pairs.
@@ -194,6 +194,27 @@ fn bench_dispatch(c: &mut Criterion) {
                 .ideal_attention_time(&cluster, &model, &kv, &stage, 0)
                 .unwrap()
         })
+    });
+    // The §5.3.1 pre-check as the balancer runs it, on the evenly loaded
+    // primaries alone: the closed-form bound settles it, so the ideal LP
+    // never runs.
+    let balanced = StageTopo::plain(stage.primary.clone());
+    let theta = HetisConfig::default().theta;
+    c.bench_function("balance_check_certified", |b| {
+        let before = waterfill.solver_counts();
+        b.iter(|| {
+            let check = waterfill.balance_check(&cluster, &model, &kv, &balanced, 0);
+            check.certifies_balanced(theta)
+                || waterfill
+                    .ideal_attention_time(&cluster, &model, &kv, &balanced, 0)
+                    .is_some()
+        });
+        // Smoke assertion for CI quick mode: every check certified.
+        assert_eq!(
+            waterfill.solver_counts(),
+            before,
+            "balanced stage was not certified; the ideal LP ran"
+        );
     });
 }
 

@@ -36,9 +36,6 @@ pub struct HetisConfig {
     pub profile_noise: f64,
     /// RNG seed for profiling noise.
     pub profile_seed: u64,
-    /// Upper bound on re-dispatch operations triggered per scheduling
-    /// round (the paper re-dispatches "one request" at a time).
-    pub max_redispatch_per_round: usize,
     /// Eq. (7) solver selection (default [`DispatchSolver::WaterFill`]).
     pub solver: DispatchSolver,
 }
@@ -51,7 +48,6 @@ impl Default for HetisConfig {
             profile_grid: 8,
             profile_noise: 0.02,
             profile_seed: 0x4E75,
-            max_redispatch_per_round: 1,
             solver: DispatchSolver::default(),
         }
     }

@@ -17,7 +17,7 @@
 //! fractional solution is rounded to whole KV-head groups (Eq. 5).
 
 use crate::config::{DispatchSolver, HetisConfig};
-use crate::profiler::Profiler;
+use crate::profiler::{LinkModel, Profiler};
 use hetis_cluster::{Cluster, DeviceId};
 use hetis_engine::{KvState, StageTopo};
 use hetis_lp::{
@@ -529,29 +529,109 @@ impl Dispatcher {
         stage: &StageTopo,
         stage_idx: u16,
     ) -> (f64, Option<DeviceId>) {
+        let check = self.balance_check(cluster, model, kv, stage, stage_idx);
+        (check.current, check.bottleneck)
+    }
+
+    /// One allocation-free pass over the stage's attention devices: the
+    /// current attention time, its bottleneck device, and a closed-form
+    /// lower bound on [`Dispatcher::ideal_attention_time`] (see
+    /// [`BalanceCheck::ideal_lower_bound`]).
+    pub fn balance_check(
+        &self,
+        cluster: &Cluster,
+        model: &ModelSpec,
+        kv: &KvState,
+        stage: &StageTopo,
+        stage_idx: u16,
+    ) -> BalanceCheck {
         let r = model.gqa_ratio();
         let anchor = stage.primary.devices[0];
         let per_head_bytes =
             (2.0 + 2.0 / r as f64) * model.head_dim as f64 * model.dtype.bytes() as f64;
-        let mut worst = (0.0, None);
-        for dev in stage.attention_devices() {
+        let mut current = 0.0;
+        let mut bottleneck = None;
+        // Dual-bound accumulators over the relaxation's coefficients
+        // (seconds per head `a`, per KV byte `b`, constant `c`).
+        let (mut h_total, mut g_total) = (0.0, 0.0);
+        let (mut inv_b, mut c_over_b) = (0.0, 0.0);
+        let (mut min_a_over_b, mut max_c) = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut signs_ok = true;
+        for &dev in stage.primary.devices.iter().chain(&stage.attention_workers) {
             let h = kv.device(dev).stage_query_heads(stage_idx, r) as f64;
             let g = kv.device(dev).stage_kv_bytes_per_layer(stage_idx);
+            let m = self.profiler.attn_model(dev);
+            let remote = !stage.primary.devices.contains(&dev);
+            let lm = if remote {
+                self.profiler.link_model(cluster, anchor, dev)
+            } else {
+                LinkModel {
+                    gamma: 0.0,
+                    beta: 0.0,
+                }
+            };
+            let a = m.a + lm.gamma * per_head_bytes;
+            let c = m.c + lm.beta;
+            signs_ok &= a >= 0.0 && m.b > 0.0;
+            h_total += h;
+            g_total += g;
+            inv_b += 1.0 / m.b;
+            c_over_b += c / m.b;
+            min_a_over_b = min_a_over_b.min(a / m.b);
+            max_c = max_c.max(c);
             if h == 0.0 && g == 0.0 {
                 continue;
             }
-            let m = self.profiler.attn_model(dev);
-            let remote = !stage.primary.devices.contains(&dev);
             let mut t = m.predict(h, g);
             if remote {
-                let lm = self.profiler.link_model(cluster, anchor, dev);
                 t += lm.gamma * per_head_bytes * h + lm.beta;
             }
-            if t > worst.0 {
-                worst = (t, Some(dev));
+            if t > current {
+                current = t;
+                bottleneck = Some(dev);
             }
         }
-        worst
+        let dual = (c_over_b + h_total * min_a_over_b + g_total) / inv_b;
+        let ideal_lower_bound = if signs_ok && dual.is_finite() && max_c.is_finite() {
+            dual.max(max_c)
+        } else {
+            f64::NEG_INFINITY
+        };
+        BalanceCheck {
+            current,
+            bottleneck,
+            ideal_lower_bound,
+        }
+    }
+}
+
+/// A stage's §5.3.1 balance state from [`Dispatcher::balance_check`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BalanceCheck {
+    /// Current max per-device attention time (seconds per layer).
+    pub current: f64,
+    /// The device realizing `current` (`None` when the stage is idle).
+    pub bottleneck: Option<DeviceId>,
+    /// A lower bound on the relaxed ideal `f*`, by weak duality. The
+    /// relaxation is `min τ s.t. τ ≥ cᵢ + aᵢhᵢ + bᵢgᵢ, Σh = H, Σg = G,
+    /// h, g ≥ 0` (capacity rows only raise it); any simplex weight λ
+    /// gives `τ ≥ Σλᵢcᵢ + H·min λᵢaᵢ + G·min λᵢbᵢ`, and λᵢ ∝ 1/bᵢ turns
+    /// that into `(Σcᵢ/bᵢ + H·min aᵢ/bᵢ + G) / Σ1/bᵢ`, combined with the
+    /// constant floor `max cᵢ`. `-∞` (no bound) when some `aᵢ < 0`,
+    /// `bᵢ ≤ 0`, or the value is not finite.
+    pub ideal_lower_bound: f64,
+}
+
+impl BalanceCheck {
+    /// True when the bound alone proves the §5.3.1 trigger
+    /// `current > (1+Θ)·f*` false, so the ideal need not be solved. The
+    /// 1e-9 relative margin absorbs solver rounding (the 1/b weight is
+    /// often dual-optimal, making the bound tight to the last bit). Θ ≥ 0
+    /// is required: the ideal is clamped to `current`, which the bound
+    /// may exceed.
+    pub fn certifies_balanced(&self, theta: f64) -> bool {
+        let lb = self.ideal_lower_bound;
+        theta >= 0.0 && self.current <= (1.0 + theta) * (lb - 1e-9 * lb.abs())
     }
 }
 

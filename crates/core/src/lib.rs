@@ -36,7 +36,7 @@ pub mod split;
 pub mod system;
 
 pub use config::{DispatchSolver, HetisConfig, WorkloadProfile};
-pub use dispatcher::{DispatchOutcome, Dispatcher};
+pub use dispatcher::{BalanceCheck, DispatchOutcome, Dispatcher};
 pub use parallelizer::{search_topology, SearchOutcome};
 pub use profiler::{AttnModel, LinkModel, Profiler};
 pub use system::HetisPolicy;

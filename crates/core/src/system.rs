@@ -203,14 +203,10 @@ impl Policy for HetisPolicy {
         if !self.redispatch_enabled {
             return Vec::new();
         }
-        let mut ops = Vec::new();
-        for _ in 0..self.cfg.max_redispatch_per_round {
-            match balance_computation(self.dispatcher_ref(), ctx, instance, self.cfg.theta) {
-                Some(op) => ops.push(op),
-                None => break,
-            }
-        }
-        ops
+        // The paper re-dispatches one request at a time.
+        balance_computation(self.dispatcher_ref(), ctx, instance, self.cfg.theta)
+            .into_iter()
+            .collect()
     }
 
     fn select_victim(
