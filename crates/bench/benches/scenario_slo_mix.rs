@@ -203,11 +203,12 @@ fn main() {
     // pins above are the telemetry-OFF side of this comparison — (b)
     // stream per-class p99 TTFTs equal to the end-of-run report's
     // (full-run windows hold the identical sample multiset and use the
-    // same percentile function), and (c) cost < 5% wall time
-    // (min-of-3, interleaved with fresh OFF runs so machine noise hits
-    // both sides). No behavior-digest row is printed for this run: the
-    // digest is asserted equal to the pinned chunked+priority one, so a
-    // separate pin would be redundant.
+    // same percentile function), and (c) cost < 15% wall time, summed
+    // over alternating OFF/ON pairs until the OFF side has run for at
+    // least a second (at least 3 pairs), so machine noise hits both
+    // sides and no single descheduled run decides it. No behavior-digest
+    // row is printed for this run: the digest is asserted equal to the
+    // pinned chunked+priority one, so a separate pin would be redundant.
     let run_telemetry = || -> RunReport {
         let mut cfg = bench_engine_config();
         cfg.prefill_chunk_tokens = Some(512);
@@ -221,24 +222,26 @@ fn main() {
             &trace,
         )
     };
-    let mut wall_off = f64::INFINITY;
-    let mut wall_on = f64::INFINITY;
+    let mut wall_off = 0.0;
+    let mut wall_on = 0.0;
+    let mut pairs = 0u32;
     let mut on = None;
-    for _ in 0..3 {
+    while pairs < 3 || wall_off < 1.0 {
         let t = std::time::Instant::now();
         let off = run_named("chunked+priority");
-        wall_off = wall_off.min(t.elapsed().as_secs_f64());
+        wall_off += t.elapsed().as_secs_f64();
         let t = std::time::Instant::now();
         let with_bus = run_telemetry();
-        wall_on = wall_on.min(t.elapsed().as_secs_f64());
+        wall_on += t.elapsed().as_secs_f64();
         assert_eq!(
             off.digest(),
             with_bus.digest(),
             "telemetry must be digest-neutral"
         );
         on = Some(with_bus);
+        pairs += 1;
     }
-    let on = on.expect("three telemetry runs happened");
+    let on = on.expect("at least three telemetry runs happened");
     let snap = on.telemetry.as_ref().expect("telemetry was enabled");
     assert_eq!(snap.completions, on.completed.len() as u64);
     for s in on.class_stats() {
@@ -257,7 +260,7 @@ fn main() {
     }
     let overhead_pct = 100.0 * (wall_on - wall_off) / wall_off;
     println!(
-        "slo_mix\ttelemetry\tchunked+priority\twall_off_s={}\twall_on_s={}\toverhead_pct={}\tevents={}\tdropped={}",
+        "slo_mix\ttelemetry\tchunked+priority\tpairs={pairs}\twall_off_s={}\twall_on_s={}\toverhead_pct={}\tevents={}\tdropped={}",
         f(wall_off),
         f(wall_on),
         f(overhead_pct),
@@ -266,19 +269,21 @@ fn main() {
     );
     // sim-throughput-style row for the telemetry-ON run so BENCH records
     // can quote on/off side by side (not floor-gated: the floors file
-    // only lists the plain systems).
+    // only lists the plain systems). Its wall is the mean ON run.
+    let wall_on_run = wall_on / pairs as f64;
     println!(
         "slo_mix\tsim-throughput\tchunked+priority+telemetry\tsim_s={}\twall_s={}\tsim_per_wall={}\tevents={}\tevents_per_s={}",
         f(on.duration),
-        f(wall_on),
-        f(on.duration / wall_on),
+        f(wall_on_run),
+        f(on.duration / wall_on_run),
         on.events_processed,
-        f(on.events_processed as f64 / wall_on),
+        f(on.events_processed as f64 / wall_on_run),
     );
-    // The min-of-3 walls are ~0.3 s on the CI container, so scheduler
-    // noise alone swings this by several points (the same binary has
-    // measured 3.3% and 7.8% across container generations); the bound
-    // catches an accidentally hot tap path, not single-digit drift.
+    // One run takes a few tens of milliseconds, so a single descheduled
+    // run used to swing a min-of-3 comparison by tens of points; the
+    // summed walls of a second or more of alternating pairs average
+    // that out. The bound catches an accidentally hot tap path, not
+    // single-digit drift.
     assert!(
         overhead_pct < 15.0,
         "telemetry must stay under 15% wall overhead, measured {overhead_pct:.2}%"

@@ -93,12 +93,16 @@ struct Cohort {
     /// `groups × (ctx+1) × unit` bytes), so adds and removes are exact
     /// and the formed loads are bit-identical to a from-scratch rebuild
     /// — which `debug_assert` checks on every formation. Maintained on
-    /// decode entry/exit, re-dispatch, eviction and per-token context
-    /// growth; replaces the old O(batch × stages × placement-entries)
-    /// rebuild in the decode hot loop. Keyed under the engine's integer
-    /// hasher: every decode member's token bumps one entry per placement
-    /// device, and the map is only ever read sorted by device.
+    /// decode entry/exit, re-dispatch and eviction, and bumped once per
+    /// completed decode iteration (every entry reads one more token per
+    /// head group; per member only when some registered member sat the
+    /// iteration out); replaces the old O(batch × stages ×
+    /// placement-entries) rebuild in the decode hot loop. Keyed under the
+    /// engine's integer hasher; only ever read sorted by device.
     load: Vec<IdMap<DeviceId, (u64, u64)>>,
+    /// Members whose load is in `load` (`in_load_table`), kept by
+    /// `load_table_add` / `load_table_remove`.
+    registered: usize,
 }
 
 /// Admission-ordering key of one waiting request under
@@ -868,12 +872,34 @@ impl<'a, P: Policy> Engine<'a, P> {
             .take()
             .expect("completion without in-flight microbatch");
         let mut evicted_any = false;
+        // With the instance up and every device serving, no participant
+        // can have lost its KV or placement this event.
+        let churn_free = self.topo.instances[inst].role != InstanceRole::Down
+            && self.health.iter().all(|h| h.is_serving());
+        // Every decode participant's context grows a token. When the
+        // participants are exactly the cohort's registered members, the
+        // whole table reads one more token per head group: one pass over
+        // its entries instead of one per member and placement device.
+        // This runs before the prefill loop, whose completions may
+        // register new members that read the table at their own context.
+        let bulk_bump = churn_free && {
+            let participants = ub
+                .decode_reqs
+                .iter()
+                .filter(|rid| self.requests[rid].in_load_table)
+                .count();
+            participants == self.instances[inst].cohorts[cohort].registered
+        };
+        if bulk_bump {
+            self.load_table_bump_all(inst, cohort);
+        }
         // Prefill participants first (chunk bookkeeping, prefill→decode
         // transitions), then decode participants — within one fused
         // iteration the order is immaterial (both sets are disjoint and
         // complete at the same simulated instant).
         for (rid, chunk) in ub.reqs.into_iter().zip(ub.chunks) {
-            let invalidated = self.churn_invalidated(rid);
+            debug_assert!(!churn_free || !self.churn_invalidated(rid));
+            let invalidated = !churn_free && self.churn_invalidated(rid);
             let r = self.requests.get_mut(&rid).expect("live request");
             r.in_flight = false;
             if invalidated {
@@ -902,7 +928,7 @@ impl<'a, P: Policy> Engine<'a, P> {
             let r = self.requests.get_mut(&rid).expect("live request");
             r.push_token(now);
             let complete = r.is_complete();
-            let first_token = r.token_times.len() == 1;
+            let first_token = r.generated == 1;
             self.remove_prefilling(inst, rid);
             if first_token {
                 self.tap(FlowEventKind::FirstToken {
@@ -921,7 +947,8 @@ impl<'a, P: Policy> Engine<'a, P> {
             }
         }
         for rid in ub.decode_reqs {
-            let invalidated = self.churn_invalidated(rid);
+            debug_assert!(!churn_free || !self.churn_invalidated(rid));
+            let invalidated = !churn_free && self.churn_invalidated(rid);
             let r = self.requests.get_mut(&rid).expect("live request");
             r.in_flight = false;
             if invalidated {
@@ -932,8 +959,9 @@ impl<'a, P: Policy> Engine<'a, P> {
             r.push_token(now);
             let complete = r.is_complete();
             // The context grew a token: mirror it into the incremental
-            // load table before any removal reads the new state.
-            if self.requests[&rid].in_load_table {
+            // load table (unless the bulk bump already did) before any
+            // removal reads the new state.
+            if !bulk_bump && r.in_load_table {
                 self.load_table_bump_ctx(inst, rid);
             }
             if complete {
@@ -1990,11 +2018,15 @@ impl<'a, P: Policy> Engine<'a, P> {
         let gqa = self.model.gqa_ratio() as u64;
         let unit = 2 * self.model.head_dim * self.model.dtype.bytes();
         let co = &self.instances[inst].cohorts[cohort];
-        let registered = co
-            .members
-            .iter()
-            .filter(|rid| self.requests[rid].in_load_table)
-            .count();
+        let registered = co.registered;
+        debug_assert_eq!(
+            registered,
+            co.members
+                .iter()
+                .filter(|rid| self.requests[rid].in_load_table)
+                .count(),
+            "registered-member count drifted"
+        );
         // Usually every registered member is in the batch and the table
         // is read as is; otherwise some sit this iteration out (stalled on
         // memory, racing a victim decision) and come off a copy.
@@ -2380,6 +2412,7 @@ impl<'a, P: Policy> Engine<'a, P> {
         let r = self.requests.get_mut(&rid).expect("live");
         r.placement = Some(placement);
         r.kv_reserved = tokens;
+        r.kv_tokens = tokens;
         self.note_kv_peak();
         true
     }
@@ -2423,7 +2456,9 @@ impl<'a, P: Policy> Engine<'a, P> {
                 .kv
                 .grow_tokens_on(rid, placement.iter_devices(), new_total)
             else {
-                self.requests.get_mut(&rid).expect("live").kv_reserved = new_total;
+                let r = self.requests.get_mut(&rid).expect("live");
+                r.kv_reserved = new_total;
+                r.kv_tokens = r.kv_tokens.max(new_total);
                 self.kv_growths += 1;
                 self.note_kv_peak();
                 return true;
@@ -2453,30 +2488,46 @@ impl<'a, P: Policy> Engine<'a, P> {
     /// Appends one decode token's KV across the request's devices,
     /// consulting the policy on exhaustion. Returns false when the request
     /// cannot proceed this iteration.
+    ///
+    /// Only an append that crosses a block boundary changes any ledger
+    /// byte, so only those touch the ledger: they grow every entry to
+    /// `kv_tokens + 1`. The others just count the token in
+    /// [`RunningRequest::kv_tokens`], leaving the entries to trail it
+    /// inside the same block. Costs, short devices and victim decisions
+    /// depend only on block counts, so they match a per-token append.
     fn try_append_token(&mut self, inst: usize, rid: RequestId) -> bool {
-        // Decode headroom: tokens inside the admission-time reservation
-        // are prepaid — the resident entries already cover them, so the
-        // first appends after prefill completion consume the cushion
-        // instead of allocating (and can never hit the victim path).
-        // Atomic admission reserves exactly the effective prompt, whose
-        // context has already outgrown it by the first decode append, so
-        // this branch never fires there (bit-identical legacy behavior).
-        {
-            let r = &self.requests[&rid];
+        let block_size = self.cfg.block_size;
+        let next = {
+            let r = self.requests.get_mut(&rid).expect("live");
+            // Decode headroom: tokens inside the admission-time
+            // reservation are prepaid — the resident entries already
+            // cover them, so the first appends after prefill completion
+            // consume the cushion instead of allocating (and can never
+            // hit the victim path). Atomic admission reserves exactly the
+            // effective prompt, whose context has already outgrown it by
+            // the first decode append, so this branch never fires there.
             if r.context_len() < r.kv_reserved {
                 return true;
             }
-        }
+            if !r.kv_tokens.is_multiple_of(block_size) {
+                r.kv_tokens += 1;
+                return true;
+            }
+            r.kv_tokens + 1
+        };
+        #[cfg(debug_assertions)]
+        self.assert_entries_in_block(rid);
         // Bounded victim loop: each pass either frees memory or stalls.
         for _ in 0..64 {
             let placement = self.requests[&rid]
                 .placement
                 .as_ref()
                 .expect("decoding request placed");
-            let Err(dev) = self.kv.append_token_on(rid, placement.iter_devices()) else {
+            let Err(dev) = self.kv.grow_tokens_on(rid, placement.iter_devices(), next) else {
                 // Peak sampling happens once per decode batch in
                 // `collect_decode_batch`, not per append — this is the
                 // hottest allocation path.
+                self.requests.get_mut(&rid).expect("live").kv_tokens = next;
                 return true;
             };
             let action = self.policy.select_victim(inst, dev, rid, &ctx!(self));
@@ -2505,6 +2556,30 @@ impl<'a, P: Policy> Engine<'a, P> {
             }
         }
         false
+    }
+
+    /// Debug check before a block-crossing append: every resident entry
+    /// of `rid`'s placement spans as many blocks as `kv_tokens` does.
+    #[cfg(debug_assertions)]
+    fn assert_entries_in_block(&self, rid: RequestId) {
+        let bs = self.cfg.block_size;
+        let r = &self.requests[&rid];
+        let placement = r.placement.as_ref().expect("decoding request placed");
+        for (s, stage_pl) in placement.per_stage.iter().enumerate() {
+            for &(dev, _) in stage_pl {
+                let e = self
+                    .kv
+                    .device(dev)
+                    .entry(rid, s as u16)
+                    .expect("placed entry resident");
+                debug_assert_eq!(
+                    e.tokens.div_ceil(bs),
+                    r.kv_tokens.div_ceil(bs),
+                    "{rid:?} entry on {dev} stage {s} left the block of kv_tokens {}",
+                    r.kv_tokens
+                );
+            }
+        }
     }
 
     /// Recompute-preempts a request: KV freed everywhere, back to waiting.
@@ -2910,8 +2985,8 @@ impl<'a, P: Policy> Engine<'a, P> {
         let rec = CompletedRequest {
             id: rid,
             arrival: r.req.arrival,
-            first_token: *r.token_times.first().expect("finished with tokens"),
-            completion: *r.token_times.last().expect("finished with tokens"),
+            first_token: r.first_token_at.expect("finished with tokens"),
+            completion: r.last_token_at.expect("finished with tokens"),
             input_len: r.req.input_len,
             output_len: r.req.output_len,
             preemptions: r.preemptions,
@@ -3009,6 +3084,7 @@ impl<'a, P: Policy> Engine<'a, P> {
                     e.1 += heads as u64 / gqa * ctx * unit;
                 }
             }
+            cohort.registered += 1;
         }
         self.requests.get_mut(&rid).expect("live").in_load_table = true;
     }
@@ -3041,6 +3117,7 @@ impl<'a, P: Policy> Engine<'a, P> {
                     }
                 }
             }
+            cohort.registered -= 1;
         }
         self.requests.get_mut(&rid).expect("live").in_load_table = false;
     }
@@ -3061,6 +3138,21 @@ impl<'a, P: Policy> Engine<'a, P> {
                     .get_mut(&dev)
                     .expect("registered device present");
                 e.1 += heads as u64 / gqa * unit;
+            }
+        }
+    }
+
+    /// [`Engine::load_table_bump_ctx`] for every registered member of the
+    /// cohort at once: each entry's KV read grows by `heads / gqa × unit`.
+    /// Exact, because every member's heads on an entry are a multiple of
+    /// `gqa` (`HeadPlacement::validate`), so the per-member bumps sum to
+    /// the bump of the summed heads.
+    fn load_table_bump_all(&mut self, inst: usize, cohort: usize) {
+        let gqa = self.model.gqa_ratio() as u64;
+        let unit = 2 * self.model.head_dim * self.model.dtype.bytes();
+        for map in &mut self.instances[inst].cohorts[cohort].load {
+            for (h, k) in map.values_mut() {
+                *k += *h / gqa * unit;
             }
         }
     }

@@ -70,7 +70,12 @@ impl std::error::Error for KvAllocError {}
 pub struct KvEntry {
     /// KV head groups resident.
     pub groups: u32,
-    /// Tokens cached.
+    /// Tokens the entry was last sized for. The engine retokens entries
+    /// only when a decode append crosses a block boundary, so this may
+    /// trail the request's true token count (`RunningRequest::kv_tokens`)
+    /// inside the same block: the block count, and with it every byte
+    /// figure, is exact. Compare it only through block-rounded bytes or
+    /// against other entries of the same request.
     pub tokens: u32,
     /// Layers of the owning stage.
     pub layers: u32,
@@ -500,35 +505,18 @@ impl KvState {
         subset.iter().map(|&d| self.device(d).used_bytes()).sum()
     }
 
-    /// [`DeviceKv::append_token`] on every device of `devices` (repeats
+    /// [`DeviceKv::grow_tokens`] on every device of `devices` (repeats
     /// allowed), all or nothing. Each device's cost is computed once and
     /// reused for the commit. When some device is short, nothing changes
-    /// and the lowest-id short device is returned.
-    pub fn append_token_on(
-        &mut self,
-        req: RequestId,
-        devices: impl IntoIterator<Item = DeviceId>,
-    ) -> Result<(), DeviceId> {
-        self.retoken_on(req, devices, |t| t + 1)
-    }
-
-    /// [`DeviceKv::grow_tokens`] on every device of `devices`, all or
-    /// nothing, with the same contract as [`KvState::append_token_on`].
+    /// and the lowest-id short device is returned. The engine's decode
+    /// appends call it with `tokens + 1` at each block crossing.
     pub fn grow_tokens_on(
         &mut self,
         req: RequestId,
         devices: impl IntoIterator<Item = DeviceId>,
         new_tokens: u32,
     ) -> Result<(), DeviceId> {
-        self.retoken_on(req, devices, |t| t.max(new_tokens))
-    }
-
-    fn retoken_on(
-        &mut self,
-        req: RequestId,
-        devices: impl IntoIterator<Item = DeviceId>,
-        next: impl Fn(u32) -> u32 + Copy,
-    ) -> Result<(), DeviceId> {
+        let next = |t: u32| t.max(new_tokens);
         self.costs.clear();
         for d in devices {
             if !self.costs.iter().any(|&(c, _)| c == d) {
@@ -1017,13 +1005,13 @@ mod tests {
         Ok(())
     }
 
-    /// A two-device state whose pools hold only ~`pool` bytes each, so
-    /// random operations regularly run them dry.
-    fn tight_state(pool: u64) -> KvState {
+    /// A state whose first `n` devices' pools hold only ~`pool` bytes
+    /// each, so random operations regularly run them dry.
+    fn tight_state(pool: u64, n: u32) -> KvState {
         let c = paper_cluster();
         let m = llama_70b();
         let full = KvState::new(&c, &m, 16, &HashMap::new()).unwrap();
-        let weights = (0..2)
+        let weights = (0..n)
             .map(|i| (DeviceId(i), full.device(DeviceId(i)).pool_bytes() - pool))
             .collect();
         KvState::new(&c, &m, 16, &weights).unwrap()
@@ -1097,32 +1085,32 @@ mod tests {
                 o.free_request(req);
             }
             _ => {
-                // The all-or-nothing multi-device ops, device 0 listed twice.
+                // The all-or-nothing multi-device growth, device 0 listed
+                // twice. Kind 6 is the engine's block-crossing decode
+                // append: one past the request's largest entry.
+                let tokens = if kind == 6 {
+                    oracle
+                        .iter()
+                        .flat_map(|o| o.entries.iter())
+                        .filter(|&(&(r, _), _)| r == req)
+                        .map(|(_, e)| e.tokens)
+                        .max()
+                        .unwrap_or(0)
+                        + 1
+                } else {
+                    tokens
+                };
                 let devices = [DeviceId(0), DeviceId(1), DeviceId(0)];
                 let short = (0..2).map(DeviceId).find(|&x| {
-                    let o = &oracle[x.index()];
-                    let cost = if kind == 6 {
-                        o.append_cost(req)
-                    } else {
-                        o.grow_cost(req, tokens)
-                    };
-                    cost > kv.device(x).free_bytes()
+                    oracle[x.index()].grow_cost(req, tokens) > kv.device(x).free_bytes()
                 });
-                let res = if kind == 6 {
-                    kv.append_token_on(req, devices)
-                } else {
-                    kv.grow_tokens_on(req, devices, tokens)
-                };
+                let res = kv.grow_tokens_on(req, devices, tokens);
                 match short {
                     Some(x) => prop_assert_eq!(res, Err(x)),
                     None => {
                         prop_assert_eq!(res, Ok(()));
                         for o in oracle.iter_mut() {
-                            if kind == 6 {
-                                o.retoken(req, |t| t + 1);
-                            } else {
-                                o.retoken(req, |t| t.max(tokens));
-                            }
+                            o.retoken(req, |t| t.max(tokens));
                         }
                     }
                 }
@@ -1144,7 +1132,7 @@ mod tests {
             ops in collection::vec((0u8..8, 0u64..REQS, 0u16..STAGES, 0u32..2, 0u32..9, 0u32..200), 1..160),
             fork in 0usize..160,
         ) {
-            let mut kv = tight_state(60_000_000);
+            let mut kv = tight_state(60_000_000, 2);
             let mut oracle = vec![ScanKv::new(kv.device(DeviceId(0))); 2];
             let mut forked: Option<(KvState, Vec<ScanKv>)> = None;
             for (i, &op) in ops.iter().enumerate() {
@@ -1162,6 +1150,247 @@ mod tests {
                     for (dev, o) in oracle2.iter().enumerate() {
                         check(kv2.device(DeviceId(dev as u32)), o)?;
                     }
+                }
+            }
+        }
+    }
+
+    /// One request's residency as the engine sees it: its exact token
+    /// count and the `(device, stage)` slots it holds.
+    #[derive(Debug)]
+    struct Placed {
+        kv_tokens: u32,
+        slots: Vec<(DeviceId, u16)>,
+    }
+
+    impl Placed {
+        /// The distinct devices of the slots, sorted.
+        fn devices(&self) -> Vec<DeviceId> {
+            let mut v: Vec<DeviceId> = self.slots.iter().map(|&(d, _)| d).collect();
+            v.sort();
+            v.dedup();
+            v
+        }
+    }
+
+    /// The per-token decode append over `devices` (distinct), all or
+    /// nothing: the lowest-id short device, else one
+    /// [`DeviceKv::append_token`] on each.
+    fn append_each(kv: &mut KvState, req: RequestId, devices: &[DeviceId]) -> Result<(), DeviceId> {
+        let short = devices
+            .iter()
+            .copied()
+            .filter(|&d| kv.device(d).append_cost(req) > kv.device(d).free_bytes())
+            .min();
+        if let Some(d) = short {
+            return Err(d);
+        }
+        for &d in devices {
+            kv.device_mut(d)
+                .append_token(req)
+                .expect("checked headroom");
+        }
+        Ok(())
+    }
+
+    /// The engine's decode append: inside a block only the count moves;
+    /// at a crossing every entry grows to `kv_tokens + 1`.
+    fn append_at_crossings(
+        kv: &mut KvState,
+        req: RequestId,
+        p: &Placed,
+        block_size: u32,
+    ) -> Result<(), DeviceId> {
+        if !p.kv_tokens.is_multiple_of(block_size) {
+            return Ok(());
+        }
+        kv.grow_tokens_on(req, p.devices(), p.kv_tokens + 1)
+    }
+
+    /// Allocates `tokens` on every slot, undoing everything on failure.
+    fn allocate_all(
+        kv: &mut KvState,
+        req: RequestId,
+        slots: &[(DeviceId, u16)],
+        groups: u32,
+        tokens: u32,
+    ) -> bool {
+        for &(d, s) in slots {
+            if kv
+                .device_mut(d)
+                .allocate(req, s, groups, tokens, stage_layers(s))
+                .is_err()
+            {
+                for &(d, _) in slots {
+                    kv.device_mut(d).free_request(req);
+                }
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Tokens of `req`'s first slot in `kv` (entries of one request are
+    /// uniform in both runs).
+    fn slot_tokens(kv: &KvState, req: RequestId, p: &Placed) -> u32 {
+        let (d, s) = p.slots[0];
+        kv.device(d).entry(req, s).expect("slot resident").tokens
+    }
+
+    /// Every query the dispatcher and the victim scans read agrees between
+    /// the per-token run and the crossings-only run; entries of the former
+    /// hold `kv_tokens` exactly, those of the latter its block count.
+    fn check_runs(
+        exact: &KvState,
+        crossing: &KvState,
+        model: &HashMap<RequestId, Placed>,
+        n: u32,
+    ) -> Result<(), TestCaseError> {
+        for d in (0..n).map(DeviceId) {
+            let (a, b) = (exact.device(d), crossing.device(d));
+            prop_assert_eq!(a.used_bytes(), b.used_bytes());
+            prop_assert_eq!(a.free_bytes(), b.free_bytes());
+            for s in 0..=STAGES {
+                prop_assert_eq!(a.stage_query_heads(s, 8), b.stage_query_heads(s, 8));
+                prop_assert_eq!(
+                    a.stage_kv_bytes_per_layer(s).to_bits(),
+                    b.stage_kv_bytes_per_layer(s).to_bits()
+                );
+            }
+            for r in (0..REQS).map(RequestId) {
+                prop_assert_eq!(a.request_bytes(r), b.request_bytes(r));
+            }
+            let mut ha: Vec<RequestId> = a.holders().collect();
+            let mut hb: Vec<RequestId> = b.holders().collect();
+            ha.sort();
+            hb.sort();
+            prop_assert_eq!(ha, hb);
+        }
+        for (&r, p) in model {
+            for &(d, s) in &p.slots {
+                let a = exact.device(d).entry(r, s).expect("slot resident");
+                let b = crossing.device(d).entry(r, s).expect("slot resident");
+                prop_assert_eq!(a.tokens, p.kv_tokens);
+                prop_assert_eq!(b.tokens.div_ceil(16), p.kv_tokens.div_ceil(16));
+                prop_assert!(b.tokens <= p.kv_tokens);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random allocate / decode-append / grow / shrink-groups /
+        /// grow-groups / free sequences on 2–4 tight devices, run twice:
+        /// once appending every decode token to the ledger, once touching
+        /// it only at block crossings. After every operation both runs
+        /// agree on every byte figure, every aggregate, the holders and
+        /// the short device an append or growth reports.
+        #[test]
+        fn crossing_appends_match_per_token_appends(
+            n in 2u32..5,
+            ops in collection::vec(
+                (0u8..12, 0u64..REQS, 0u32..4, 0u16..STAGES, 0u32..9, 0u32..200),
+                1..160,
+            ),
+        ) {
+            let mut exact = tight_state(60_000_000, n);
+            let mut crossing = exact.clone();
+            let mut model: HashMap<RequestId, Placed> = HashMap::new();
+            for &(kind, req, dev, stage, groups, tokens) in &ops {
+                let req = RequestId(req);
+                let d = DeviceId(dev % n);
+                match kind {
+                    0 => {
+                        if model.contains_key(&req) {
+                            continue;
+                        }
+                        // One slot on each device picked by the mask.
+                        let mask = (dev % ((1 << n) - 1)) + 1;
+                        let slots: Vec<(DeviceId, u16)> = (0..n)
+                            .filter(|i| mask & (1 << i) != 0)
+                            .map(|i| (DeviceId(i), stage))
+                            .collect();
+                        let g = groups.max(1);
+                        let ok = allocate_all(&mut exact, req, &slots, g, tokens);
+                        prop_assert_eq!(allocate_all(&mut crossing, req, &slots, g, tokens), ok);
+                        if ok {
+                            model.insert(req, Placed { kv_tokens: tokens, slots });
+                        }
+                    }
+                    1 => {
+                        let Some(p) = model.get_mut(&req) else { continue };
+                        let devices = p.devices();
+                        let res = exact.grow_tokens_on(req, devices.iter().copied(), tokens);
+                        prop_assert_eq!(
+                            crossing.grow_tokens_on(req, devices.iter().copied(), tokens),
+                            res
+                        );
+                        if res.is_ok() {
+                            p.kv_tokens = p.kv_tokens.max(tokens);
+                        }
+                    }
+                    2 => {
+                        let Some(p) = model.get_mut(&req) else { continue };
+                        let (sd, ss) = p.slots[dev as usize % p.slots.len()];
+                        let e = exact.device(sd).entry(req, ss).expect("slot resident");
+                        let g = groups % (e.groups + 1);
+                        let released = exact.device_mut(sd).shrink_groups(req, ss, g);
+                        prop_assert_eq!(crossing.device_mut(sd).shrink_groups(req, ss, g), released);
+                        if g == e.groups {
+                            p.slots.retain(|&slot| slot != (sd, ss));
+                            if p.slots.is_empty() {
+                                model.remove(&req);
+                            }
+                        }
+                    }
+                    3 => {
+                        // Migration in, at the tokens each run's entries hold.
+                        let Some(p) = model.get_mut(&req) else { continue };
+                        let g = groups.max(1);
+                        let layers = stage_layers(stage);
+                        let ta = slot_tokens(&exact, req, p);
+                        let tb = slot_tokens(&crossing, req, p);
+                        let ok = exact.device_mut(d).grow_groups(req, stage, g, ta, layers).is_ok();
+                        prop_assert_eq!(
+                            crossing.device_mut(d).grow_groups(req, stage, g, tb, layers).is_ok(),
+                            ok
+                        );
+                        if ok && !p.slots.contains(&(d, stage)) {
+                            p.slots.push((d, stage));
+                        }
+                    }
+                    4 => {
+                        let released: Vec<u64> =
+                            (0..n).map(|i| exact.device_mut(DeviceId(i)).free_request(req)).collect();
+                        let again: Vec<u64> =
+                            (0..n).map(|i| crossing.device_mut(DeviceId(i)).free_request(req)).collect();
+                        prop_assert_eq!(released, again);
+                        model.remove(&req);
+                    }
+                    _ => {
+                        // A burst of decode appends, checked after each.
+                        if !model.contains_key(&req) {
+                            continue;
+                        }
+                        for _ in 0..=groups * 3 {
+                            let p = &model[&req];
+                            let res = append_each(&mut exact, req, &p.devices());
+                            prop_assert_eq!(append_at_crossings(&mut crossing, req, p, 16), res);
+                            if res.is_err() {
+                                break;
+                            }
+                            model.get_mut(&req).expect("placed").kv_tokens += 1;
+                            check_runs(&exact, &crossing, &model, n)?;
+                        }
+                    }
+                }
+                check_runs(&exact, &crossing, &model, n)?;
+                #[cfg(debug_assertions)]
+                {
+                    exact.assert_totals();
+                    crossing.assert_totals();
                 }
             }
         }

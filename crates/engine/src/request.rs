@@ -48,12 +48,23 @@ pub struct RunningRequest {
     /// the first chunk plus decode headroom and grows per completed
     /// chunk. 0 while unplaced.
     pub kv_reserved: u32,
+    /// Tokens each resident KV entry of the request would hold if every
+    /// decode append were written to the ledger: the allocation size,
+    /// raised by growth and by one per decode append past the prepaid
+    /// reservation. The engine retokens the ledger only when an append
+    /// crosses a block boundary, so entries may trail this count inside
+    /// the current block (same block count, same bytes). 0 while
+    /// unplaced. Kept apart from `kv_reserved`, which decides what is
+    /// prepaid.
+    pub kv_tokens: u32,
     /// True while this request's decode attention load is registered in
     /// its cohort's incremental per-device load table (engine-internal;
     /// see the engine's `load_table_add`).
     pub in_load_table: bool,
-    /// Absolute times of produced tokens.
-    pub token_times: Vec<f64>,
+    /// Time the first token was produced (None before it).
+    pub first_token_at: Option<f64>,
+    /// Time the latest token was produced (None before the first).
+    pub last_token_at: Option<f64>,
     /// Time the request was admitted to a prefill batch (for queueing
     /// analysis).
     pub admitted_at: Option<f64>,
@@ -88,13 +99,15 @@ impl RunningRequest {
             effective_input: req.input_len,
             prefilled: 0,
             kv_reserved: 0,
+            kv_tokens: 0,
             in_load_table: false,
             req,
             phase: Phase::Waiting,
             instance,
             cohort: 0,
             generated: 0,
-            token_times: Vec::new(),
+            first_token_at: None,
+            last_token_at: None,
             admitted_at: None,
             placement: None,
             in_flight: false,
@@ -134,7 +147,8 @@ impl RunningRequest {
     /// Records a produced token at `now`.
     pub fn push_token(&mut self, now: f64) {
         self.generated += 1;
-        self.token_times.push(now);
+        self.first_token_at.get_or_insert(now);
+        self.last_token_at = Some(now);
     }
 
     /// Applies recompute preemption: KV dropped, generated tokens become
@@ -143,6 +157,7 @@ impl RunningRequest {
         self.effective_input = self.req.input_len + self.generated;
         self.prefilled = 0;
         self.kv_reserved = 0;
+        self.kv_tokens = 0;
         self.phase = Phase::Waiting;
         self.placement = None;
         self.in_flight = false;
@@ -289,7 +304,8 @@ mod tests {
             r.push_token(2.0 + i as f64);
         }
         assert!(r.is_complete());
-        assert_eq!(r.token_times.len(), 10);
+        assert_eq!(r.generated, 10);
+        assert_eq!((r.first_token_at, r.last_token_at), (Some(1.0), Some(9.0)));
     }
 
     #[test]
